@@ -217,7 +217,8 @@ def _run_tasks(
     templates: PromptLibrary,
     jobs: int,
 ) -> list[DeliberationTrace]:
-    # Parallelism is task-level only; a single panel run stays sequential.
+    # Tasks run ``jobs`` at a time; each run_panel may fan its agents out over
+    # up to PANEL_WIDTH_MAX threads of its own (see deliberation).
     if jobs <= 1:
         return [run_panel(task, config, backend, templates) for task in tasks]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

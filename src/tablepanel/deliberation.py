@@ -6,9 +6,15 @@ re-assessment), and peer review (ordered individual presentation, consensus
 short-circuit, bounded collective deliberation rounds, majority-vote
 fallback). Every model exchange is recorded into a replayable trace.
 
-A single run is internally sequential because presentation order is
-semantically load-bearing; distinct runs may execute concurrently against
-one shared backend.
+Agents never read each other during investigation, self-review or any one
+deliberation round. When the backend declares that a reply depends on its
+request alone (``order_independent``), those phases run their agents' jobs
+concurrently on one thread pool per run, at most ``PANEL_WIDTH_MAX`` threads
+wide. Presentations stay sequential in the shuffled order, because each
+presenter sees the earlier ones. Every job writes to its own recorder and the
+records are merged back in agent order, so a trace is byte-identical to that
+of a sequential run. Distinct runs may also execute concurrently against one
+shared backend.
 """
 
 from __future__ import annotations
@@ -16,8 +22,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from concurrent.futures import Executor, ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
 from .extraction import (
@@ -49,6 +57,12 @@ from .tables import Answer, TaskInstance, TaskKind, UnmappableLabel, flatten_tab
 OUTCOME_UNANIMOUS_INITIAL = "UNANIMOUS_INITIAL"
 OUTCOME_CONSENSUS_ROUND = "CONSENSUS_ROUND"
 OUTCOME_MAJORITY_VOTE = "MAJORITY_VOTE"
+
+# Most agents' calls one run has in flight at once, so a process running
+# ``jobs`` panels concurrently holds at most ``jobs * PANEL_WIDTH_MAX`` panel
+# threads.
+PANEL_WIDTH_MAX = 8
+PANEL_THREAD_PREFIX = "tablepanel-panel"
 
 
 class StageName(str, Enum):
@@ -239,19 +253,56 @@ class DeliberationTrace:
 
 
 class TraceRecorder:
-    """Collects stage records with a deterministic per-run sequence index."""
+    """Collects stage records with a deterministic per-run sequence index,
+    and counts the backend calls made on its behalf, failed ones included."""
 
     def __init__(self) -> None:
         self.records: list[StageRecord] = []
-        self._seq = 0
+        self.calls = 0
 
     def add(self, agent: str, stage: Stage, raw: str, ok: bool,
             parsed: Optional[dict] = None, error: Optional[str] = None) -> None:
         self.records.append(StageRecord(
-            seq=self._seq, agent=agent, stage=stage.value, raw=raw,
+            seq=len(self.records), agent=agent, stage=stage.value, raw=raw,
             ok=ok, parsed=parsed, error=error,
         ))
-        self._seq += 1
+
+    def merge(self, other: "TraceRecorder") -> None:
+        """Append ``other``'s records after this one's, renumbering ``seq``."""
+        for record in other.records:
+            self.records.append(replace(record, seq=len(self.records)))
+        self.calls += other.calls
+
+
+def _run_jobs(jobs: Sequence[Callable[[TraceRecorder], object]], recorder: TraceRecorder,
+              pool: Optional[Executor]) -> list:
+    """Run one phase's per-agent jobs, each against its own recorder, merge
+    their records and calls into ``recorder`` in job order, and return their
+    results in that order. Without a pool the jobs run in the calling thread
+    and a GatewayError stops the phase; with one, the other jobs finish
+    first. Either way the first GatewayError in job order is then raised."""
+    def run(job) -> tuple[TraceRecorder, object, Optional[GatewayError]]:
+        own = TraceRecorder()
+        try:
+            return own, job(own), None
+        except GatewayError as exc:
+            return own, None, exc
+
+    if pool is None or len(jobs) < 2:
+        outcomes = []
+        for job in jobs:
+            outcomes.append(run(job))
+            if outcomes[-1][2] is not None:
+                break
+    else:
+        futures = [pool.submit(run, job) for job in jobs]
+        outcomes = [f.result() for f in futures]
+    for own, _, _ in outcomes:
+        recorder.merge(own)
+    for _, _, error in outcomes:
+        if error is not None:
+            raise error
+    return [result for _, result, _ in outcomes]
 
 
 def _base_bindings(agent: AgentState, task: TaskInstance, flattened: Optional[str] = None) -> dict[str, str]:
@@ -273,6 +324,24 @@ def _notes_binding(notes: Optional[AnalyticalNotes]) -> str:
 # (disagreeing) vote: re-extract it under a generic kind so it normalizes
 # without label mapping and can never equal a canonical label.
 _GENERIC_KIND = TaskKind.sql_denotation()
+
+
+def _answer_extractor(extract: Callable, kind: TaskKind, fields: tuple[str, ...] = ()):
+    """An extractor for a reply that carries an answer. ``extract(raw, kind)``
+    returns the answer, or when ``fields`` is given a tuple of the answer and
+    one value per field name; the parse records each under its name."""
+    def extractor(raw: str):
+        parsed: dict = {}
+        try:
+            value = extract(raw, kind)
+        except UnmappableLabel:
+            value = extract(raw, _GENERIC_KIND)
+            parsed["unmapped_label"] = True
+        answer, *rest = value if fields else (value,)
+        parsed["answer"] = _answer_to_json(answer)
+        parsed.update(zip(fields, rest))
+        return parsed, value
+    return extractor
 
 
 def _exchange(
@@ -299,6 +368,7 @@ def _exchange(
             model_name=backend.model_name,
             temperature=backend.temperature,
         )
+        recorder.calls += 1
         raw = backend.complete(request)
         try:
             parsed_json, value = extract(raw)
@@ -327,19 +397,11 @@ def _run_assess(agent: AgentState, bindings: dict[str, str], backend, templates,
 
 def _run_solve(agent: AgentState, bindings: dict[str, str], task: TaskInstance, backend,
                templates, format_retry: int, recorder: TraceRecorder) -> None:
-    def extract(raw: str):
-        try:
-            answer = extract_solution(raw, task.kind)
-            return {"answer": _answer_to_json(answer)}, answer
-        except UnmappableLabel:
-            answer = extract_solution(raw, _GENERIC_KIND)
-            return {"answer": _answer_to_json(answer), "unmapped_label": True}, answer
-
     solve_bindings = dict(bindings)
     solve_bindings["complexity"] = agent.complexity.value if agent.complexity else "not assessed"
     solve_bindings["notes"] = _notes_binding(agent.notes)
     answer = _exchange(agent, Stage.SOLVE, solve_bindings, backend, templates,
-                       extract, format_retry, recorder)
+                       _answer_extractor(extract_solution, task.kind), format_retry, recorder)
     agent.current_solution = answer
 
 
@@ -489,6 +551,7 @@ def peer_review(
     *,
     recorder: Optional[TraceRecorder] = None,
     flattened: Optional[str] = None,
+    pool: Optional[Executor] = None,
 ) -> PeerReviewResult:
     """Ordered individual presentation, then bounded collective deliberation.
 
@@ -498,7 +561,8 @@ def peer_review(
     rounds run, each agent seeing the full previous round, with a consensus
     check after each round and majority voting at the cap. An agent whose
     presentation or deliberation fails keeps its last answer, abstains from
-    later rounds, and still counts in every consensus check and vote.
+    later rounds, and still counts in every consensus check and vote. A
+    round's agents run concurrently on ``pool`` when one is given.
     """
     if not agents or any(a.current_solution is None for a in agents):
         raise ValueError("peer_review requires agents with solutions")
@@ -512,24 +576,14 @@ def peer_review(
     rationales: dict[str, str] = {}
     presented: dict[str, Answer] = {}
 
+    present_extract = _answer_extractor(extract_presentation, task.kind, ("rationale",))
     for agent in order:
         bindings = _base_bindings(agent, task, flattened)
         bindings["prior_solution"] = agent.current_solution.raw
         bindings["peer_solutions"] = _format_peers(presented, rationales)
-
-        def extract(raw: str):
-            try:
-                answer, rationale = extract_presentation(raw, task.kind)
-                parsed = {"answer": _answer_to_json(answer), "rationale": rationale}
-            except UnmappableLabel:
-                answer, rationale = extract_presentation(raw, _GENERIC_KIND)
-                parsed = {"answer": _answer_to_json(answer), "rationale": rationale,
-                          "unmapped_label": True}
-            return parsed, (answer, rationale)
-
         try:
             answer, rationale = _exchange(agent, Stage.PRESENT, bindings, backend, templates,
-                                          extract, config.format_retry, recorder)
+                                          present_extract, config.format_retry, recorder)
             agent.current_solution = answer
             agent.rationale = rationale
             rationales[agent.name] = rationale
@@ -542,40 +596,33 @@ def peer_review(
     if shared is not None:
         return PeerReviewResult(shared, OUTCOME_UNANIMOUS_INITIAL, None, presentation_order, [])
 
+    deliberate_extract = _answer_extractor(extract_deliberation, task.kind, ("changed",))
+
+    def deliberate(agent: AgentState, previous: dict[str, Answer], own: TraceRecorder) -> bool:
+        """One agent's turn in a round; True when it failed and so freezes."""
+        bindings = _base_bindings(agent, task, flattened)
+        bindings["prior_solution"] = agent.current_solution.raw
+        # Each agent sees the full previous round, its own entry included.
+        bindings["peer_solutions"] = _format_peers(previous, rationales)
+        try:
+            agent.current_solution, _changed = _exchange(
+                agent, Stage.DELIBERATE, bindings, backend, templates,
+                deliberate_extract, config.format_retry, own)
+        except StageFailed as exc:
+            agent.failed_stage = exc.stage.value
+            return True
+        return False
+
     rounds: list[dict[str, Answer]] = []
     current = presented
     for round_no in range(1, config.t_max_panel + 1):
         previous = dict(current)
-        new_round: dict[str, Answer] = {}
-        for agent in order:
-            if agent.name in frozen:
-                new_round[agent.name] = previous[agent.name]
-                continue
-            bindings = _base_bindings(agent, task, flattened)
-            bindings["prior_solution"] = agent.current_solution.raw
-            # Each agent sees the full previous round, its own entry included.
-            bindings["peer_solutions"] = _format_peers(previous, rationales)
-
-            def extract(raw: str):
-                try:
-                    answer, changed = extract_deliberation(raw, task.kind)
-                    parsed = {"answer": _answer_to_json(answer), "changed": changed}
-                except UnmappableLabel:
-                    answer, changed = extract_deliberation(raw, _GENERIC_KIND)
-                    parsed = {"answer": _answer_to_json(answer), "changed": changed,
-                              "unmapped_label": True}
-                return parsed, (answer, changed)
-
-            try:
-                answer, _changed = _exchange(agent, Stage.DELIBERATE, bindings, backend, templates,
-                                             extract, config.format_retry, recorder)
-                agent.current_solution = answer
-            except StageFailed as exc:
-                agent.failed_stage = exc.stage.value
-                frozen.add(agent.name)
-            new_round[agent.name] = agent.current_solution
-        rounds.append(new_round)
-        current = new_round
+        active = [a for a in order if a.name not in frozen]
+        failed = _run_jobs([partial(deliberate, a, previous) for a in active], recorder, pool)
+        frozen.update(a.name for a, f in zip(active, failed) if f)
+        # A frozen agent's current solution is its answer of the previous round.
+        current = {a.name: a.current_solution for a in order}
+        rounds.append(current)
         shared = consensus_check(current)
         if shared is not None:
             return PeerReviewResult(shared, OUTCOME_CONSENSUS_ROUND, round_no, presentation_order, rounds)
@@ -594,42 +641,44 @@ def run_panel(
 
     Agents whose investigation fails are excluded from the panel; transport
     or API errors abort the task and mark the trace incomplete instead of
-    raising.
+    raising. When the backend is ``order_independent`` the agents of every
+    phase but the presentations run concurrently, and a transport error lets
+    the phase's other agents finish first: the trace keeps every record and
+    counts every call made, and carries the error of the first failing agent
+    in agent order.
     """
     templates = templates or PromptLibrary.default()
     recorder = TraceRecorder()
-    calls_before = backend.count_calls()
     trace = DeliberationTrace(task_id=task.id, config_digest=config.digest())
     flattened = flatten_table(task.table, task.context)
     agents = [AgentState(persona=p) for p in config.panel.members]
+    first_solve = investigate if StageName.INVESTIGATION in config.stages else direct_solve
 
+    def solve(agent: AgentState, own: TraceRecorder) -> None:
+        try:
+            first_solve(agent, task, backend, templates, format_retry=config.format_retry,
+                        recorder=own, flattened=flattened)
+        except StageFailed as exc:
+            agent.failed_stage = exc.stage.value
+
+    def review(agent: AgentState, own: TraceRecorder) -> None:
+        self_review(agent, task, backend, templates, config.t_max_self,
+                    format_retry=config.format_retry, recorder=own, flattened=flattened)
+
+    width = min(len(agents), PANEL_WIDTH_MAX) if getattr(backend, "order_independent", False) else 1
+    pool = ThreadPoolExecutor(width, thread_name_prefix=PANEL_THREAD_PREFIX) if width > 1 else None
     try:
-        for agent in agents:
-            try:
-                if StageName.INVESTIGATION in config.stages:
-                    investigate(agent, task, backend, templates,
-                                format_retry=config.format_retry, recorder=recorder,
-                                flattened=flattened)
-                else:
-                    direct_solve(agent, task, backend, templates,
-                                 format_retry=config.format_retry, recorder=recorder,
-                                 flattened=flattened)
-            except StageFailed as exc:
-                agent.failed_stage = exc.stage.value
-
+        _run_jobs([partial(solve, a) for a in agents], recorder, pool)
         solvers = [a for a in agents if a.current_solution is not None]
         if StageName.SELF_REVIEW in config.stages:
-            for agent in solvers:
-                self_review(agent, task, backend, templates, config.t_max_self,
-                            format_retry=config.format_retry, recorder=recorder,
-                            flattened=flattened)
+            _run_jobs([partial(review, a) for a in solvers], recorder, pool)
 
         if not solvers:
             trace.complete = False
             trace.error = "no agent produced a solution"
         elif StageName.PEER_REVIEW in config.stages:
             result = peer_review(solvers, task, backend, templates, config,
-                                 recorder=recorder, flattened=flattened)
+                                 recorder=recorder, flattened=flattened, pool=pool)
             trace.presentation_order = result.presentation_order
             trace.rounds = result.rounds
             trace.outcome = result.outcome
@@ -642,10 +691,13 @@ def run_panel(
     except GatewayError as exc:
         trace.complete = False
         trace.error = f"{type(exc).__name__}: {exc}"
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     trace.records = recorder.records
     trace.failed_agents = [a.name for a in agents if a.failed_stage is not None]
-    trace.llm_calls = backend.count_calls() - calls_before
+    trace.llm_calls = recorder.calls
     return trace
 
 

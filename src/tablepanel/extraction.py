@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 from .tables import Answer, TaskKind
 
@@ -45,45 +44,6 @@ class AnalyticalNotes:
     def __post_init__(self) -> None:
         points = tuple(p for p in (s.strip() for s in self.points) if p)
         object.__setattr__(self, "points", points)
-
-
-@dataclass(frozen=True)
-class Assessment:
-    complexity: Complexity
-    notes: AnalyticalNotes
-
-
-@dataclass(frozen=True)
-class Solution:
-    answer: Answer
-
-
-@dataclass(frozen=True)
-class Review:
-    verdict: Verdict
-
-
-@dataclass(frozen=True)
-class Presentation:
-    answer: Answer
-    rationale: str
-
-
-@dataclass(frozen=True)
-class Deliberation:
-    answer: Answer
-    changed: bool
-
-
-Parsed = Union[Assessment, Solution, Review, Presentation, Deliberation]
-
-
-@dataclass(frozen=True)
-class StageOutput:
-    """Raw model text kept untouched for trace replay, plus its parse."""
-
-    raw: str
-    parsed: Parsed
 
 
 _COMPLEXITY_RE = re.compile(r"^[ \t]*COMPLEXITY:[ \t]*(.+?)[ \t]*$", re.I | re.M)

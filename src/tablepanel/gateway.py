@@ -106,8 +106,6 @@ class ChatBackend(Protocol):
 
     def complete(self, request: ChatRequest) -> str: ...
 
-    def count_calls(self) -> int: ...
-
 
 class _CallCounter:
     def __init__(self) -> None:
@@ -131,6 +129,10 @@ class OpenAIChatBackend:
     jitter; other statuses raise ApiError immediately. Total attempts per
     call are ``1 + max_retries``.
     """
+
+    # A reply depends on its request alone, so one run may issue independent
+    # calls concurrently (see ``deliberation.run_panel``).
+    order_independent = True
 
     def __init__(self, config: BackendConfig, rng: Optional[random.Random] = None):
         self.config = config
@@ -234,6 +236,9 @@ class ScriptedBackend:
 
     model_name = "scripted"
     temperature = 0.0
+    # Which entry a request consumes depends on the order of arrival, so the
+    # calls of one run must stay sequential.
+    order_independent = False
 
     def __init__(
         self,

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from tablepanel.deliberation import PANEL_THREAD_PREFIX
 from tablepanel.gateway import ScriptedBackend, ScriptEntry
 from tablepanel.personas import OUTPUT_CONTRACTS, Stage
 from tablepanel.tables import Answer, ContextPassages, Query, Table, TaskInstance, TaskKind
@@ -47,6 +50,16 @@ def make_task(kind: TaskKind | None = None, task_id: str = "task-1",
         kind=kind,
         gold=Answer.from_raw(gold_text, kind),
     )
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_panel_threads():
+    """Fail any test that leaves a panel pool thread alive: ``run_panel``
+    must shut its pool down on every path."""
+    yield
+    leaked = [t.name for t in threading.enumerate() if t.name.startswith(PANEL_THREAD_PREFIX)]
+    if leaked:
+        pytest.fail(f"panel pool threads outlived the test: {leaked}")
 
 
 @pytest.fixture

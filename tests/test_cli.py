@@ -160,6 +160,18 @@ class TestBench:
         assert manifest["totals"]["tasks"] == 10
         assert manifest["totals"]["errors"] == 0
 
+    def test_llm_calls_total_is_exact_under_jobs(self, tmp_path, capsys):
+        backend = script_file(tmp_path / "b.json", unanimity_items("42"))
+        out = tmp_path / "parallel-full"
+        code = main(["bench", "tatqa", "fixture", "--config", "full",
+                     "--backend", backend, "--jobs", "4", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # 10 unanimous tasks of 20 calls each, however the threads interleave.
+        assert manifest["totals"]["llm_calls"] == 200
+        traces = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
+        assert [t["llm_calls"] for t in traces] == [20] * 10
+
 
 class TestScore:
     def test_rescoring_reproduces_bench_report(self, tmp_path, capsys):

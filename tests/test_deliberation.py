@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import re
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 
 from tablepanel.deliberation import (
+    PANEL_THREAD_PREFIX,
+    PANEL_WIDTH_MAX,
     AgentState,
     DeliberationTrace,
     InvalidConfig,
@@ -25,7 +33,8 @@ from tablepanel.deliberation import (
     self_review,
 )
 from tablepanel.extraction import Complexity, Verdict
-from tablepanel.personas import Panel, Persona, PromptLibrary, Stage, default_panel
+from tablepanel.gateway import ChatRequest, TransportError
+from tablepanel.personas import OUTPUT_CONTRACTS, Panel, Persona, PromptLibrary, Stage, default_panel
 from tablepanel.tables import Answer, TaskKind
 
 from conftest import (
@@ -490,6 +499,176 @@ class TestRunPanel:
         assert len(trace.rounds) == 2
         presented_equal = len({a.normalized for a in trace.rounds[0].values()}) == 1
         assert not presented_equal
+
+
+class PolicyBackend:
+    """An order-independent backend for tests. Its reply is a function of the
+    persona, the stage contract, the agent's own history length (its turn)
+    and how often that same request arrived before, which only the agent's
+    own format re-asks can repeat. It records one (start, end) span and the
+    thread name of every call."""
+
+    model_name = "policy"
+    temperature = 0.0
+
+    def __init__(self, reply, order_independent: bool = True, delay=lambda persona: 0.0):
+        self.reply = reply
+        self.order_independent = order_independent
+        self.delay = delay
+        self.spans: list[tuple[float, float]] = []
+        self.threads: set[str] = set()
+        self._arrivals: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, request: ChatRequest) -> str:
+        start = time.perf_counter()
+        system = request.messages[0].content
+        persona = re.search(r"You are (.+?), one scientist", system).group(1)
+        stage = next(s for s in Stage if OUTPUT_CONTRACTS[s] in system)
+        turn = (len(request.messages) - 2) // 2
+        with self._lock:
+            repeat = self._arrivals[persona, stage, turn]
+            self._arrivals[persona, stage, turn] += 1
+            self.threads.add(threading.current_thread().name)
+        try:
+            time.sleep(self.delay(persona))
+            return self.reply(persona, stage, turn, repeat)
+        finally:
+            with self._lock:
+                self.spans.append((start, time.perf_counter()))
+
+
+def unanimous_policy(persona, stage, turn, repeat) -> str:
+    return {
+        Stage.ASSESS: assessment_text(),
+        Stage.SOLVE: "ANSWER: B-1",
+        Stage.VERIFY: "VERDICT: validated",
+        Stage.PRESENT: "RATIONALE: read from the table\nANSWER: B-1",
+        Stage.DELIBERATE: "POSITION: keep\nANSWER: B-1",
+    }[stage]
+
+
+def adversarial_policy(persona, stage, turn, repeat, reask: bool = False) -> str:
+    """Every verdict is uncertain and every agent holds its own answer, so
+    the panel refines once, then votes after the last round."""
+    if stage is Stage.ASSESS:
+        return assessment_text()
+    if stage is Stage.SOLVE:
+        return "no marker" if reask and repeat == 0 else f"ANSWER: {persona}"
+    if stage is Stage.VERIFY:
+        return "VERDICT: uncertain"
+    if stage is Stage.PRESENT:
+        return f"RATIONALE: my own reading\nANSWER: {persona}"
+    return f"POSITION: keep\nANSWER: {persona}"
+
+
+def critical_path(spans: list[tuple[float, float]]) -> int:
+    """Longest chain of calls in which each starts after the previous ended."""
+    ordered = sorted(spans)
+    longest = []
+    for start, end in ordered:
+        before = [n for (s, e), n in zip(ordered, longest) if e <= start]
+        longest.append(1 + max(before, default=0))
+    return max(longest, default=0)
+
+
+def in_flight_max(spans: list[tuple[float, float]]) -> int:
+    events = sorted([(s, 1) for s, _ in spans] + [(e, -1) for _, e in spans])
+    return max(itertools.accumulate(step for _, step in events), default=0)
+
+
+def panel_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith(PANEL_THREAD_PREFIX)]
+
+
+class TestConcurrentPanel:
+    # Long enough that every call of a concurrent phase starts before the
+    # first one ends, so spans show the dependency chain.
+    CALL_S = 0.05
+
+    def test_traces_byte_identical_to_sequential_for_every_preset(self, qa_task):
+        def policy(*args):
+            return adversarial_policy(*args, reask=True)
+
+        def delay(persona):
+            return (1 + len(persona) % 4) * 0.001  # agents finish out of panel order
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the panel threads finely
+        try:
+            for name, config in ablation_presets(seed=5).items():
+                config = dataclasses.replace(config, t_max_panel=3)
+                lines = {}
+                for independent in (False, True):
+                    backend = PolicyBackend(policy, order_independent=independent, delay=delay)
+                    trace = run_panel(qa_task, config, backend)
+                    lines[independent] = trace.to_json_line()
+                    assert trace.llm_calls == len(backend.spans), name
+                    if len(config.panel) > 1:
+                        assert trace.outcome == OUTCOME_MAJORITY_VOTE, name
+                        assert len(trace.rounds) == 3, name
+                        assert (in_flight_max(backend.spans) > 1) is independent, name
+                assert any(not r.ok for r in trace.records), name
+                assert any(r.parsed == {"verdict": "uncertain"} for r in trace.records) == (
+                    StageName.SELF_REVIEW in config.stages), name
+                assert lines[True] == lines[False], name
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+    def test_full_unanimous_critical_path_is_eight_calls(self, qa_task):
+        backend = PolicyBackend(unanimous_policy, delay=lambda persona: self.CALL_S)
+        trace = run_panel(qa_task, ablation_presets(seed=3)["full"], backend)
+        assert trace.outcome == OUTCOME_UNANIMOUS_INITIAL
+        assert trace.llm_calls == len(backend.spans) == 20
+        # assess, solve, verify, then five presentations one after another
+        assert critical_path(backend.spans) == 8
+        assert in_flight_max(backend.spans) <= 5
+
+    def test_adversarial_critical_path_is_fourteen_calls(self, qa_task):
+        config = dataclasses.replace(ablation_presets(seed=3)["full"], t_max_panel=3)
+        backend = PolicyBackend(adversarial_policy, delay=lambda persona: self.CALL_S)
+        trace = run_panel(qa_task, config, backend)
+        assert trace.outcome == OUTCOME_MAJORITY_VOTE and len(trace.rounds) == 3
+        assert trace.llm_calls == len(backend.spans) == 50
+        # 2 investigation + 4 self-review + 5 presentations + 3 rounds
+        assert critical_path(backend.spans) == 14
+
+    def test_twelve_persona_panel_stays_within_the_thread_cap(self, qa_task):
+        personas = tuple(Persona(f"Scientist {i}", "Check the table") for i in range(12))
+        # Panel validation admits at most 8 members; build a larger one
+        # around it, since the cap guards the engine, not the config format.
+        panel = object.__new__(Panel)
+        object.__setattr__(panel, "members", personas)
+        config = dataclasses.replace(ablation_presets()["full"], panel=panel)
+        backend = PolicyBackend(unanimous_policy, delay=lambda persona: 0.01)
+        trace = run_panel(qa_task, config, backend)
+        assert trace.complete and trace.llm_calls == 12 * 4
+        assert 1 < in_flight_max(backend.spans) <= PANEL_WIDTH_MAX
+        pool_threads = {t for t in backend.threads if t.startswith(PANEL_THREAD_PREFIX)}
+        assert len(pool_threads) <= PANEL_WIDTH_MAX
+        assert panel_threads() == []
+
+    def test_transport_error_lets_the_phase_finish_and_keeps_its_records(self, qa_task):
+        def policy(persona, stage, turn, repeat):
+            if stage is Stage.ASSESS and persona == "Isaac Newton":
+                time.sleep(0.03)  # fails after Turing, yet comes first in agent order
+                raise TransportError("newton unreachable")
+            if stage is Stage.ASSESS and persona == "Alan Turing":
+                raise TransportError("turing unreachable")
+            return unanimous_policy(persona, stage, turn, repeat)
+
+        backend = PolicyBackend(policy)
+        trace = run_panel(qa_task, ablation_presets(seed=3)["full"], backend)
+        assert not trace.complete and trace.final is None
+        assert trace.error == "TransportError: newton unreachable"
+        # Einstein, Curie and Tesla finish their investigation, in agent order.
+        assert [(r.seq, r.agent, r.stage) for r in trace.records] == [
+            (0, "Albert Einstein", "assess"), (1, "Albert Einstein", "solve"),
+            (2, "Marie Curie", "assess"), (3, "Marie Curie", "solve"),
+            (4, "Nikola Tesla", "assess"), (5, "Nikola Tesla", "solve"),
+        ]
+        assert trace.llm_calls == len(backend.spans) == 5 + 3
+        assert panel_threads() == []
 
 
 class TestAblationPresets:
