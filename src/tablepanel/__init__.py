@@ -6,6 +6,9 @@ individual investigation, self-review, and peer review with consensus
 detection and majority-vote fallback, plus a benchmark harness.
 """
 
+# Set before the submodules are imported: ``gateway`` reads it.
+__version__ = "0.1.0"
+
 from .datasets import DatasetKind, FeverousEvidence, ParseError, fixture, load
 from .deliberation import (
     DeliberationTrace,
@@ -50,7 +53,6 @@ from .tables import (
     normalize_answer,
 )
 
-__version__ = "0.1.0"
 
 __all__ = [
     "Answer",

@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -90,10 +91,11 @@ def _load_json_file(path: str, what: str) -> dict:
         raise CliError(f"{what} file {path} is not valid JSON: {exc}", 1)
 
 
-def build_backend(path: str) -> ChatBackend:
+def build_backend(path: str) -> OpenAIChatBackend | ScriptedBackend:
     """Backend config file: {"type": "openai", ...BackendConfig fields} or
     {"type": "scripted", "strict": bool, "fallback": str,
-     "script": [{"response": str, "match": str?, "repeat": int?}, ...]}."""
+     "script": [{"response": str, "match": str?, "repeat": int?}, ...]}.
+    The caller closes the backend it gets."""
     data = _load_json_file(path, "backend config")
     backend_type = data.get("type", "openai")
     if backend_type == "scripted":
@@ -226,10 +228,14 @@ def _run_tasks(
         return [f.result() for f in futures]
 
 
-def _predictions(tasks: Sequence[TaskInstance], traces: Sequence[DeliberationTrace]) -> list[Prediction]:
+def _predictions(
+    tasks: Sequence[TaskInstance], traces: Sequence[Optional[DeliberationTrace]]
+) -> list[Prediction]:
+    """One prediction per task whose trace (None: no trace) completed with an
+    answer."""
     preds = []
     for task, trace in zip(tasks, traces):
-        if not trace.complete or trace.final is None:
+        if trace is None or not trace.complete or trace.final is None:
             continue
         evidence_correct = task.evidence.correct if task.evidence is not None else None
         preds.append(Prediction(task_id=task.id, answer=trace.final, evidence_correct=evidence_correct))
@@ -253,7 +259,6 @@ def _write_traces(path: Path, traces: Sequence[DeliberationTrace]) -> None:
 def cmd_ask(args) -> int:
     table, context = _read_table_file(args.table)
     config = resolve_config(args.config, args.seed, args.t_max)
-    backend = build_backend(args.backend)
     task = TaskInstance(
         id="adhoc",
         table=table,
@@ -261,10 +266,11 @@ def cmd_ask(args) -> int:
         query=Query(args.query),
         kind=TaskKind.qa(),
     )
-    try:
-        trace = run_panel(task, config, backend, _templates(args))
-    except InvalidConfig as exc:
-        raise CliError(str(exc), 1)
+    with closing(build_backend(args.backend)) as backend:
+        try:
+            trace = run_panel(task, config, backend, _templates(args))
+        except InvalidConfig as exc:
+            raise CliError(str(exc), 1)
     if args.trace:
         _write_traces(Path(args.trace), [trace])
     if not trace.complete or trace.final is None:
@@ -292,12 +298,12 @@ def cmd_bench(args) -> int:
     if not tasks:
         raise CliError("dataset yielded no tasks", 1)
     config = resolve_config(args.config, args.seed, args.t_max)
-    backend = build_backend(args.backend)
     templates = _templates(args)
 
-    started = _now()
-    traces, report, failures = _bench_once(tasks, config, backend, templates, args.jobs)
-    finished = _now()
+    with closing(build_backend(args.backend)) as backend:
+        started = _now()
+        traces, report, failures = _bench_once(tasks, config, backend, templates, args.jobs)
+        finished = _now()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -345,8 +351,8 @@ def cmd_ablate(args) -> int:
     templates = _templates(args)
     rows = []
     for name, config in ablation_presets(args.seed or 0).items():
-        backend = build_backend(args.backend)  # fresh backend per preset row
-        traces, report, failures = _bench_once(tasks, config, backend, templates, args.jobs)
+        with closing(build_backend(args.backend)) as backend:  # fresh backend per preset row
+            traces, report, failures = _bench_once(tasks, config, backend, templates, args.jobs)
         rows.append({
             "preset": name,
             "tasks": len(tasks),
@@ -398,14 +404,7 @@ def cmd_score(args) -> int:
             except (json.JSONDecodeError, KeyError) as exc:
                 raise CliError(f"trace line {lineno}: {exc}", 1)
     by_id = {t.task_id: t for t in traces}
-    preds = []
-    for task in tasks:
-        trace = by_id.get(task.id)
-        if trace is None or not trace.complete or trace.final is None:
-            continue
-        evidence_correct = task.evidence.correct if task.evidence is not None else None
-        preds.append(Prediction(task_id=task.id, answer=trace.final, evidence_correct=evidence_correct))
-    report = _score_subset(tasks, preds)
+    report = _score_subset(tasks, _predictions(tasks, [by_id.get(task.id) for task in tasks]))
     if report is None:
         raise CliError("no scorable traces for this dataset", 1)
     print(json.dumps(report.to_json_dict(), sort_keys=True))

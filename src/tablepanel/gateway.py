@@ -1,6 +1,7 @@
 """Chat-completion backends behind one interface.
 
-Two implementations: a live OpenAI-compatible HTTP backend (retries with
+Two implementations: a live OpenAI-compatible HTTP backend (keep-alive
+connections over the standard library's ``http.client``; retries with
 exponential backoff on 429/5xx/transport errors) and a deterministic
 scripted backend for tests. Both are safe to share across threads and
 count every ``complete()`` invocation, including failed ones.
@@ -8,17 +9,23 @@ count every ``complete()`` invocation, including failed ones.
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import os
 import random
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol, Union
 
-import requests
+from . import __version__
 
 _ROLES = ("system", "user", "assistant")
+_USER_AGENT = f"tablepanel/{__version__}"
 
 
 class GatewayError(Exception):
@@ -63,7 +70,6 @@ class ChatRequest:
     messages: tuple[ChatMessage, ...]
     model_name: str
     temperature: float
-    max_tokens: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "messages", tuple(self.messages))
@@ -73,8 +79,6 @@ class ChatRequest:
             raise ValueError("first message must have role 'system'")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if self.max_tokens is not None and self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
 
     def text(self) -> str:
         """All message contents joined; used by scripted matchers."""
@@ -121,13 +125,117 @@ class _CallCounter:
             return self._calls
 
 
+def _retry_after_s(value: Optional[str]) -> Optional[float]:
+    """Seconds asked for by a delta-seconds ``Retry-After`` header; None when
+    the header is absent or in any other form (an HTTP date included)."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
+class _ConnectionPool:
+    """Persistent HTTP/1.1 connections to one endpoint, each used by one
+    thread at a time. A caller takes an idle connection or opens a new one and
+    gives it back once the response is read in full, so the pool never holds
+    more connections than there were callers in flight at once.
+
+    The proxy is read from ``HTTP(S)_PROXY``/``NO_PROXY`` once, here. An
+    ``https`` endpoint verifies certificates and host names against the
+    system trust store, and goes through a proxy by CONNECT.
+    """
+
+    def __init__(self, base_url: str, timeout: float):
+        url = urllib.parse.urlsplit(base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL, got {base_url!r}")
+        host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
+        netloc = url.netloc.rpartition("@")[2]
+        self._timeout = timeout
+        self._context = ssl.create_default_context() if url.scheme == "https" else None
+        self._address = (host, port)
+        self._tunnel: Optional[tuple[str, int]] = None
+        self._proxy_headers: dict[str, str] = {}
+        self.target = url.path.rstrip("/") + "/chat/completions"
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(netloc):
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if not proxy_url.hostname:
+                raise ValueError(f"cannot parse the {url.scheme} proxy {proxy!r}")
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+            if proxy_url.username is not None:
+                user = urllib.parse.unquote(proxy_url.username)
+                password = urllib.parse.unquote(proxy_url.password or "")
+                token = base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+                self._proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+            if self._context is not None:
+                self._tunnel = (host, port)
+            else:
+                # A forward proxy takes the absolute URL as the request target.
+                self.target = f"http://{netloc}{self.target}"
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        """A new, not yet connected, connection (the socket opens on first use)."""
+        if self._context is None:
+            return http.client.HTTPConnection(*self._address, timeout=self._timeout)
+        conn = http.client.HTTPSConnection(*self._address, timeout=self._timeout,
+                                           context=self._context)
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel, headers=self._proxy_headers)
+        return conn
+
+    def post(self, body: bytes, headers: dict[str, str]) -> tuple[http.client.HTTPResponse, bytes]:
+        """POST ``body`` to the endpoint; returns the response and its body.
+        Raises ``OSError`` or ``http.client.HTTPException`` on transport
+        failures."""
+        if self._proxy_headers and self._tunnel is None:
+            headers = {**headers, **self._proxy_headers}
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        if conn is None:
+            conn = self._connect()
+        try:
+            try:
+                conn.request("POST", self.target, body, headers)
+                resp = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The server closed this connection while it sat idle, so the
+                # request never reached it: send it once more on a new one.
+                conn.close()
+                conn = self._connect()
+                conn.request("POST", self.target, body, headers)
+                resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return resp, data
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
 class OpenAIChatBackend:
     """POSTs ``{base_url}/chat/completions`` with a Bearer key from the
     environment; the key never appears anywhere but that header.
 
-    Retries transport errors, 429, and 5xx with exponential backoff plus
-    jitter; other statuses raise ApiError immediately. Total attempts per
-    call are ``1 + max_retries``.
+    Connections are kept alive and shared by the threads that call
+    ``complete``; ``close()`` closes the idle ones. Retries transport errors,
+    429, and 5xx with exponential backoff plus jitter; on 429 and 503 a
+    delta-seconds ``Retry-After`` lengthens the wait, up to
+    ``request_timeout``. Other statuses raise ApiError immediately. Total
+    attempts per call are ``1 + max_retries``.
     """
 
     # A reply depends on its request alone, so one run may issue independent
@@ -140,9 +248,14 @@ class OpenAIChatBackend:
         self.temperature = config.temperature
         self._counter = _CallCounter()
         self._rng = rng or random.Random()
+        self._pool = _ConnectionPool(config.base_url, config.request_timeout)
 
     def count_calls(self) -> int:
         return self._counter.value()
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens new ones."""
+        self._pool.close()
 
     def _api_key(self) -> Optional[str]:
         # An empty env var name opts out of auth (local endpoints).
@@ -157,56 +270,55 @@ class OpenAIChatBackend:
 
     def complete(self, request: ChatRequest) -> str:
         self._counter.bump()
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
         key = self._api_key()
         if key is not None:
             headers["Authorization"] = f"Bearer {key}"
-        payload: dict = {
+        body = json.dumps({
             "model": request.model_name,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
-        }
-        if request.max_tokens is not None:
-            payload["max_tokens"] = request.max_tokens
+        }).encode("utf-8")
 
         attempts = self.config.max_retries + 1
         last_error: Optional[GatewayError] = None
         for attempt in range(attempts):
+            retry_after = None
             try:
-                resp = requests.post(
-                    url,
-                    data=json.dumps(payload),
-                    headers=headers,
-                    timeout=self.config.request_timeout,
-                )
-            except requests.RequestException as exc:
-                last_error = TransportError(str(exc))
+                resp, data = self._pool.post(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = TransportError(str(exc) or type(exc).__name__)
             else:
-                if 200 <= resp.status_code < 300:
-                    return self._parse_body(resp)
-                if resp.status_code == 429 or 500 <= resp.status_code < 600:
-                    last_error = ApiError(resp.status_code, resp.text)
-                else:
-                    raise ApiError(resp.status_code, resp.text)
+                if 200 <= resp.status < 300:
+                    return self._parse_body(resp.status, data)
+                last_error = ApiError(resp.status, data.decode("utf-8", "replace"))
+                if resp.status != 429 and not 500 <= resp.status < 600:
+                    raise last_error
+                if resp.status in (429, 503):
+                    retry_after = _retry_after_s(resp.getheader("Retry-After"))
             if attempt < attempts - 1:
-                self._sleep(attempt)
+                self._sleep(attempt, retry_after)
         assert last_error is not None
         raise last_error
 
-    def _parse_body(self, resp: requests.Response) -> str:
+    @staticmethod
+    def _parse_body(status: int, data: bytes) -> str:
         try:
-            body = resp.json()
-            content = body["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
-            raise ApiError(resp.status_code, resp.text)
+            raise ApiError(status, data.decode("utf-8", "replace"))
         if not isinstance(content, str):
-            raise ApiError(resp.status_code, resp.text)
+            raise ApiError(status, data.decode("utf-8", "replace"))
         return content
 
-    def _sleep(self, attempt: int) -> None:
+    def _sleep(self, attempt: int, retry_after: Optional[float]) -> None:
         base = self.config.retry_backoff_base * (2 ** attempt)
-        time.sleep(base * (1.0 + self._rng.random()))
+        delay = base * (1.0 + self._rng.random())
+        if retry_after is not None:
+            # The server's wait, bounded so that it cannot hold a call longer
+            # than a stalled socket would; it never shortens the backoff.
+            delay = max(delay, min(retry_after, self.config.request_timeout))
+        time.sleep(delay)
 
 
 Matcher = Union[str, Callable[[str], bool], None]
@@ -263,6 +375,9 @@ class ScriptedBackend:
 
     def count_calls(self) -> int:
         return self._counter.value()
+
+    def close(self) -> None:
+        """Nothing to release; here so that callers close every backend alike."""
 
     def remaining(self) -> int:
         with self._lock:
