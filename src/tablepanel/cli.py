@@ -14,7 +14,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -67,15 +67,7 @@ class RunManifest:
     totals: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "config_name": self.config_name,
-            "config_digest": self.config_digest,
-            "dataset": self.dataset,
-            "backend": self.backend,
-            "started": self.started,
-            "finished": self.finished,
-            "totals": self.totals,
-        }
+        return asdict(self)
 
 
 def _now() -> str:
@@ -84,11 +76,14 @@ def _now() -> str:
 
 def _load_json_file(path: str, what: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CliError(f"{what} file not found: {path}", 1)
     except json.JSONDecodeError as exc:
         raise CliError(f"{what} file {path} is not valid JSON: {exc}", 1)
+    if not isinstance(data, dict):
+        raise CliError(f"{what} file {path} does not hold a JSON object", 1)
+    return data
 
 
 def build_backend(path: str) -> OpenAIChatBackend | ScriptedBackend:
@@ -98,22 +93,25 @@ def build_backend(path: str) -> OpenAIChatBackend | ScriptedBackend:
     The caller closes the backend it gets."""
     data = _load_json_file(path, "backend config")
     backend_type = data.get("type", "openai")
-    if backend_type == "scripted":
-        entries = []
-        for item in data.get("script", []):
-            entry = ScriptEntry(response=item["response"], matcher=item.get("match"))
-            entries.extend([entry] * int(item.get("repeat", 1)))
-        return ScriptedBackend(
-            script=entries,
-            strict=bool(data.get("strict", True)),
-            fallback=data.get("fallback", "NO SCRIPTED RESPONSE"),
-        )
-    if backend_type == "openai":
-        fields = {k: v for k, v in data.items() if k != "type"}
-        try:
+    try:
+        if backend_type == "scripted":
+            entries = []
+            for item in data.get("script", []):
+                entry = ScriptEntry(response=item["response"], matcher=item.get("match"))
+                if not (isinstance(entry.response, str)
+                        and isinstance(entry.matcher, (str, type(None)))):
+                    raise TypeError(f"script entry {item!r} needs a string response and match")
+                entries.extend([entry] * int(item.get("repeat", 1)))
+            return ScriptedBackend(
+                script=entries,
+                strict=bool(data.get("strict", True)),
+                fallback=data.get("fallback", "NO SCRIPTED RESPONSE"),
+            )
+        if backend_type == "openai":
+            fields = {k: v for k, v in data.items() if k != "type"}
             return OpenAIChatBackend(BackendConfig(**fields))
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"bad backend config: {exc}", 1)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad backend config: {exc}", 1)
     raise CliError(f"unknown backend type {backend_type!r}", 1)
 
 
@@ -129,10 +127,10 @@ def resolve_config(
         config = presets[name_or_path]
     elif Path(name_or_path).exists():
         data = _load_json_file(name_or_path, "pipeline config")
-        base = data.get("preset")
-        if base is not None and base not in presets:
-            raise CliError(f"unknown preset {base!r}; valid: {', '.join(presets)}", 1)
         try:
+            base = data.get("preset")
+            if base is not None and base not in presets:
+                raise CliError(f"unknown preset {base!r}; valid: {', '.join(presets)}", 1)
             panel = (
                 Panel(tuple(Persona(p["name"], p["focus"]) for p in data["panel"]))
                 if "panel" in data
@@ -154,9 +152,7 @@ def resolve_config(
                 format_retry=data.get("format_retry", 1),
                 name=data.get("name", Path(name_or_path).stem),
             )
-        except (KeyError, ValueError) as exc:
-            if isinstance(exc, CliError):
-                raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad pipeline config: {exc}", 1)
     else:
         raise CliError(
@@ -167,17 +163,7 @@ def resolve_config(
         overrides["ordering_seed"] = seed
     if t_max_panel is not None:
         overrides["t_max_panel"] = t_max_panel
-    if overrides:
-        config = PipelineConfig(
-            panel=config.panel,
-            stages=config.stages,
-            t_max_self=config.t_max_self,
-            t_max_panel=overrides.get("t_max_panel", config.t_max_panel),
-            ordering_seed=overrides.get("ordering_seed", config.ordering_seed),
-            format_retry=config.format_retry,
-            name=config.name,
-        )
-    return config
+    return replace(config, **overrides)
 
 
 def _read_table_file(path: str) -> tuple[Table, ContextPassages]:
@@ -393,17 +379,17 @@ def cmd_score(args) -> int:
     trace_file = Path(args.trace_file)
     if not trace_file.exists():
         raise CliError(f"trace file not found: {args.trace_file}", 1)
-    traces = []
+    by_id = {}
     with trace_file.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                traces.append(DeliberationTrace.from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
+                trace = DeliberationTrace.from_json_dict(json.loads(line))
+                by_id[trace.task_id] = trace
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CliError(f"trace line {lineno}: {exc}", 1)
-    by_id = {t.task_id: t for t in traces}
     report = _score_subset(tasks, _predictions(tasks, [by_id.get(task.id) for task in tasks]))
     if report is None:
         raise CliError("no scorable traces for this dataset", 1)

@@ -6,15 +6,19 @@ re-assessment), and peer review (ordered individual presentation, consensus
 short-circuit, bounded collective deliberation rounds, majority-vote
 fallback). Every model exchange is recorded into a replayable trace.
 
+``run_panel`` builds one ``PanelRun`` per run: the task, its pipeline config,
+backend, prompt templates and flattened table, and the recorder of its calls
+and records. Every stage is a function of that run and its agents.
+
 Agents never read each other during investigation, self-review or any one
 deliberation round. When the backend declares that a reply depends on its
 request alone (``order_independent``), those phases run their agents' jobs
 concurrently on one thread pool per run, at most ``PANEL_WIDTH_MAX`` threads
 wide. Presentations stay sequential in the shuffled order, because each
-presenter sees the earlier ones. Every job writes to its own recorder and the
-records are merged back in agent order, so a trace is byte-identical to that
-of a sequential run. Distinct runs may also execute concurrently against one
-shared backend.
+presenter sees the earlier ones. Every job works on a copy of the run with its
+own recorder, whose records are merged back in agent order, so a trace is
+byte-identical to that of a sequential run. Distinct runs may also execute
+concurrently against one shared backend.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import random
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
 from .extraction import (
@@ -274,44 +277,59 @@ class TraceRecorder:
         self.calls += other.calls
 
 
-def _run_jobs(jobs: Sequence[Callable[[TraceRecorder], object]], recorder: TraceRecorder,
-              pool: Optional[Executor]) -> list:
-    """Run one phase's per-agent jobs, each against its own recorder, merge
-    their records and calls into ``recorder`` in job order, and return their
-    results in that order. Without a pool the jobs run in the calling thread
-    and a GatewayError stops the phase; with one, the other jobs finish
-    first. Either way the first GatewayError in job order is then raised."""
-    def run(job) -> tuple[TraceRecorder, object, Optional[GatewayError]]:
-        own = TraceRecorder()
-        try:
-            return own, job(own), None
-        except GatewayError as exc:
-            return own, None, exc
+@dataclass(frozen=True)
+class PanelRun:
+    """What every stage of one run shares. A concurrent job works on a copy
+    with its own ``recorder``; the other fields are never replaced."""
 
-    if pool is None or len(jobs) < 2:
+    task: TaskInstance
+    config: PipelineConfig
+    backend: ChatBackend
+    templates: PromptLibrary
+    flattened: str
+    recorder: TraceRecorder = field(default_factory=TraceRecorder)
+
+    def bindings(self, agent: AgentState, **extra: str) -> dict[str, str]:
+        """The prompt bindings every stage shares, plus the stage's own."""
+        return {
+            "persona": persona_blurb(agent.persona),
+            "task_description": task_description_for(self.task.kind),
+            "flattened_input": self.flattened,
+            "query": self.task.query.text,
+            **extra,
+        }
+
+
+def _run_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
+              agents: Sequence[AgentState], pool: Optional[Executor]) -> list:
+    """Run one phase's ``step(job, agent)`` for each agent, each job on a copy
+    of ``run`` with its own recorder; merge their records and calls into
+    ``run.recorder`` in agent order, and return their results in that order.
+    Without a pool the jobs run in the calling thread and a GatewayError
+    stops the phase; with one, the other jobs finish first. Either way the
+    first GatewayError in agent order is then raised."""
+    def call(agent: AgentState) -> tuple[TraceRecorder, object, Optional[GatewayError]]:
+        job = replace(run, recorder=TraceRecorder())
+        try:
+            return job.recorder, step(job, agent), None
+        except GatewayError as exc:
+            return job.recorder, None, exc
+
+    if pool is None or len(agents) < 2:
         outcomes = []
-        for job in jobs:
-            outcomes.append(run(job))
+        for agent in agents:
+            outcomes.append(call(agent))
             if outcomes[-1][2] is not None:
                 break
     else:
-        futures = [pool.submit(run, job) for job in jobs]
+        futures = [pool.submit(call, agent) for agent in agents]
         outcomes = [f.result() for f in futures]
     for own, _, _ in outcomes:
-        recorder.merge(own)
+        run.recorder.merge(own)
     for _, _, error in outcomes:
         if error is not None:
             raise error
     return [result for _, result, _ in outcomes]
-
-
-def _base_bindings(agent: AgentState, task: TaskInstance, flattened: Optional[str] = None) -> dict[str, str]:
-    return {
-        "persona": persona_blurb(agent.persona),
-        "task_description": task_description_for(task.kind),
-        "flattened_input": flattened if flattened is not None else flatten_table(task.table, task.context),
-        "query": task.query.text,
-    }
 
 
 def _notes_binding(notes: Optional[AnalyticalNotes]) -> str:
@@ -345,14 +363,11 @@ def _answer_extractor(extract: Callable, kind: TaskKind, fields: tuple[str, ...]
 
 
 def _exchange(
+    run: PanelRun,
     agent: AgentState,
     stage: Stage,
     bindings: Mapping[str, str],
-    backend: ChatBackend,
-    templates: PromptLibrary,
     extract: Callable[[str], tuple[Optional[dict], object]],
-    format_retry: int,
-    recorder: TraceRecorder,
 ) -> object:
     """Issue one stage prompt with the agent's process memory spliced in.
 
@@ -360,126 +375,76 @@ def _exchange(
     violates the output contract; only the successful exchange is appended to
     the agent's history. Raises StageFailed when retries are exhausted.
     """
-    system, user = render_prompt(templates[stage], bindings)
+    system, user = render_prompt(run.templates[stage], bindings)
     last_reason = "no attempts made"
-    for _ in range(format_retry + 1):
+    for _ in range(run.config.format_retry + 1):
         request = ChatRequest(
             messages=(system, *agent.history, user),
-            model_name=backend.model_name,
-            temperature=backend.temperature,
+            model_name=run.backend.model_name,
+            temperature=run.backend.temperature,
         )
-        recorder.calls += 1
-        raw = backend.complete(request)
+        run.recorder.calls += 1
+        raw = run.backend.complete(request)
         try:
             parsed_json, value = extract(raw)
         except FormatError as exc:
             last_reason = str(exc)
-            recorder.add(agent.name, stage, raw, ok=False, error=last_reason)
+            run.recorder.add(agent.name, stage, raw, ok=False, error=last_reason)
             continue
-        recorder.add(agent.name, stage, raw, ok=True, parsed=parsed_json)
+        run.recorder.add(agent.name, stage, raw, ok=True, parsed=parsed_json)
         agent.history.append(user)
         agent.history.append(ChatMessage("assistant", raw))
         return value
     raise StageFailed(agent.name, stage, last_reason)
 
 
-def _run_assess(agent: AgentState, bindings: dict[str, str], backend, templates,
-                format_retry: int, recorder: TraceRecorder) -> None:
+def investigate(run: PanelRun, agent: AgentState) -> AgentState:
+    """Assess the problem (complexity plus analytical notes), then formulate
+    an initial solution conditioned on that assessment. Two backend calls on
+    the happy path. Raises StageFailed when a step exhausts its retries."""
     def extract(raw: str):
         complexity, notes = extract_assessment(raw)
         return {"complexity": complexity.value, "notes": list(notes.points)}, (complexity, notes)
 
-    complexity, notes = _exchange(agent, Stage.ASSESS, bindings, backend, templates,
-                                  extract, format_retry, recorder)
-    agent.complexity = complexity
-    agent.notes = notes
+    agent.complexity, agent.notes = _exchange(run, agent, Stage.ASSESS, run.bindings(agent), extract)
+    return direct_solve(run, agent)
 
 
-def _run_solve(agent: AgentState, bindings: dict[str, str], task: TaskInstance, backend,
-               templates, format_retry: int, recorder: TraceRecorder) -> None:
-    solve_bindings = dict(bindings)
-    solve_bindings["complexity"] = agent.complexity.value if agent.complexity else "not assessed"
-    solve_bindings["notes"] = _notes_binding(agent.notes)
-    answer = _exchange(agent, Stage.SOLVE, solve_bindings, backend, templates,
-                       _answer_extractor(extract_solution, task.kind), format_retry, recorder)
-    agent.current_solution = answer
-
-
-def investigate(
-    agent: AgentState,
-    task: TaskInstance,
-    backend: ChatBackend,
-    templates: PromptLibrary,
-    *,
-    format_retry: int = 1,
-    recorder: Optional[TraceRecorder] = None,
-    flattened: Optional[str] = None,
-) -> AgentState:
-    """Assess the problem (complexity plus analytical notes), then formulate
-    an initial solution conditioned on that assessment. Two backend calls on
-    the happy path. Raises StageFailed when a step exhausts its retries."""
-    recorder = recorder if recorder is not None else TraceRecorder()
-    bindings = _base_bindings(agent, task, flattened)
-    _run_assess(agent, bindings, backend, templates, format_retry, recorder)
-    _run_solve(agent, bindings, task, backend, templates, format_retry, recorder)
+def direct_solve(run: PanelRun, agent: AgentState) -> AgentState:
+    """Answer in one solve call, conditioned on the agent's assessment when
+    it has one."""
+    bindings = run.bindings(
+        agent,
+        complexity=agent.complexity.value if agent.complexity else "not assessed",
+        notes=_notes_binding(agent.notes),
+    )
+    agent.current_solution = _exchange(run, agent, Stage.SOLVE, bindings,
+                                       _answer_extractor(extract_solution, run.task.kind))
     return agent
 
 
-def direct_solve(
-    agent: AgentState,
-    task: TaskInstance,
-    backend: ChatBackend,
-    templates: PromptLibrary,
-    *,
-    format_retry: int = 1,
-    recorder: Optional[TraceRecorder] = None,
-    flattened: Optional[str] = None,
-) -> AgentState:
-    """Answer straight from the task instructions: one solve call, no
-    assessment bindings."""
-    recorder = recorder if recorder is not None else TraceRecorder()
-    bindings = _base_bindings(agent, task, flattened)
-    _run_solve(agent, bindings, task, backend, templates, format_retry, recorder)
-    return agent
-
-
-def self_review(
-    agent: AgentState,
-    task: TaskInstance,
-    backend: ChatBackend,
-    templates: PromptLibrary,
-    t_max_self: int = 1,
-    *,
-    format_retry: int = 1,
-    recorder: Optional[TraceRecorder] = None,
-    flattened: Optional[str] = None,
-) -> AgentState:
+def self_review(run: PanelRun, agent: AgentState) -> AgentState:
     """Verify the current solution; while the verdict is uncertain and
-    refinement iterations remain, re-assess, re-solve, and verify again.
-    After ``t_max_self`` refinements the latest solution stands regardless of
+    refinement iterations remain, re-investigate and verify again. After
+    ``t_max_self`` refinements the latest solution stands regardless of
     verdict. A failed step keeps the last good solution with an uncertain
     verdict."""
     if agent.current_solution is None:
         raise ValueError("self_review requires a current solution")
-    recorder = recorder if recorder is not None else TraceRecorder()
-    bindings = _base_bindings(agent, task, flattened)
 
     def verify_once() -> Verdict:
         def extract(raw: str):
             verdict = extract_verdict(raw)
             return {"verdict": verdict.value}, verdict
 
-        verify_bindings = dict(bindings)
-        verify_bindings["prior_solution"] = agent.current_solution.raw
-        return _exchange(agent, Stage.VERIFY, verify_bindings, backend, templates,
-                         extract, format_retry, recorder)
+        bindings = run.bindings(agent, prior_solution=agent.current_solution.raw)
+        return _exchange(run, agent, Stage.VERIFY, bindings, extract)
 
     try:
         agent.verdict = verify_once()
         iterations = 0
-        while agent.verdict is Verdict.UNCERTAIN and iterations < t_max_self:
-            _run_assess(agent, bindings, backend, templates, format_retry, recorder)
-            _run_solve(agent, bindings, task, backend, templates, format_retry, recorder)
+        while agent.verdict is Verdict.UNCERTAIN and iterations < run.config.t_max_self:
+            investigate(run, agent)
             agent.verdict = verify_once()
             iterations += 1
     except StageFailed as exc:
@@ -542,17 +507,8 @@ def _format_peers(entries: Mapping[str, Answer], rationales: Mapping[str, str]) 
     return "\n".join(lines)
 
 
-def peer_review(
-    agents: Sequence[AgentState],
-    task: TaskInstance,
-    backend: ChatBackend,
-    templates: PromptLibrary,
-    config: PipelineConfig,
-    *,
-    recorder: Optional[TraceRecorder] = None,
-    flattened: Optional[str] = None,
-    pool: Optional[Executor] = None,
-) -> PeerReviewResult:
+def peer_review(run: PanelRun, agents: Sequence[AgentState],
+                pool: Optional[Executor] = None) -> PeerReviewResult:
     """Ordered individual presentation, then bounded collective deliberation.
 
     Presentation order is a seed-determined shuffle; each presenter sees all
@@ -566,8 +522,7 @@ def peer_review(
     """
     if not agents or any(a.current_solution is None for a in agents):
         raise ValueError("peer_review requires agents with solutions")
-    recorder = recorder if recorder is not None else TraceRecorder()
-    rng = random.Random(config.ordering_seed)
+    rng = random.Random(run.config.ordering_seed)
     order = list(agents)
     rng.shuffle(order)
     presentation_order = [a.name for a in order]
@@ -576,14 +531,12 @@ def peer_review(
     rationales: dict[str, str] = {}
     presented: dict[str, Answer] = {}
 
-    present_extract = _answer_extractor(extract_presentation, task.kind, ("rationale",))
+    present_extract = _answer_extractor(extract_presentation, run.task.kind, ("rationale",))
     for agent in order:
-        bindings = _base_bindings(agent, task, flattened)
-        bindings["prior_solution"] = agent.current_solution.raw
-        bindings["peer_solutions"] = _format_peers(presented, rationales)
+        bindings = run.bindings(agent, prior_solution=agent.current_solution.raw,
+                                peer_solutions=_format_peers(presented, rationales))
         try:
-            answer, rationale = _exchange(agent, Stage.PRESENT, bindings, backend, templates,
-                                          present_extract, config.format_retry, recorder)
+            answer, rationale = _exchange(run, agent, Stage.PRESENT, bindings, present_extract)
             agent.current_solution = answer
             agent.rationale = rationale
             rationales[agent.name] = rationale
@@ -596,29 +549,27 @@ def peer_review(
     if shared is not None:
         return PeerReviewResult(shared, OUTCOME_UNANIMOUS_INITIAL, None, presentation_order, [])
 
-    deliberate_extract = _answer_extractor(extract_deliberation, task.kind, ("changed",))
-
-    def deliberate(agent: AgentState, previous: dict[str, Answer], own: TraceRecorder) -> bool:
-        """One agent's turn in a round; True when it failed and so freezes."""
-        bindings = _base_bindings(agent, task, flattened)
-        bindings["prior_solution"] = agent.current_solution.raw
-        # Each agent sees the full previous round, its own entry included.
-        bindings["peer_solutions"] = _format_peers(previous, rationales)
-        try:
-            agent.current_solution, _changed = _exchange(
-                agent, Stage.DELIBERATE, bindings, backend, templates,
-                deliberate_extract, config.format_retry, own)
-        except StageFailed as exc:
-            agent.failed_stage = exc.stage.value
-            return True
-        return False
-
+    deliberate_extract = _answer_extractor(extract_deliberation, run.task.kind, ("changed",))
     rounds: list[dict[str, Answer]] = []
     current = presented
-    for round_no in range(1, config.t_max_panel + 1):
+    for round_no in range(1, run.config.t_max_panel + 1):
         previous = dict(current)
+
+        def deliberate(job: PanelRun, agent: AgentState) -> bool:
+            """One agent's turn in this round; True when it failed and so freezes."""
+            # Each agent sees the full previous round, its own entry included.
+            bindings = job.bindings(agent, prior_solution=agent.current_solution.raw,
+                                    peer_solutions=_format_peers(previous, rationales))
+            try:
+                agent.current_solution, _changed = _exchange(
+                    job, agent, Stage.DELIBERATE, bindings, deliberate_extract)
+            except StageFailed as exc:
+                agent.failed_stage = exc.stage.value
+                return True
+            return False
+
         active = [a for a in order if a.name not in frozen]
-        failed = _run_jobs([partial(deliberate, a, previous) for a in active], recorder, pool)
+        failed = _run_jobs(run, deliberate, active, pool)
         frozen.update(a.name for a, f in zip(active, failed) if f)
         # A frozen agent's current solution is its answer of the previous round.
         current = {a.name: a.current_solution for a in order}
@@ -647,38 +598,31 @@ def run_panel(
     counts every call made, and carries the error of the first failing agent
     in agent order.
     """
-    templates = templates or PromptLibrary.default()
-    recorder = TraceRecorder()
+    run = PanelRun(task, config, backend, templates or PromptLibrary.default(),
+                   flatten_table(task.table, task.context))
     trace = DeliberationTrace(task_id=task.id, config_digest=config.digest())
-    flattened = flatten_table(task.table, task.context)
     agents = [AgentState(persona=p) for p in config.panel.members]
     first_solve = investigate if StageName.INVESTIGATION in config.stages else direct_solve
 
-    def solve(agent: AgentState, own: TraceRecorder) -> None:
+    def solve(job: PanelRun, agent: AgentState) -> None:
         try:
-            first_solve(agent, task, backend, templates, format_retry=config.format_retry,
-                        recorder=own, flattened=flattened)
+            first_solve(job, agent)
         except StageFailed as exc:
             agent.failed_stage = exc.stage.value
-
-    def review(agent: AgentState, own: TraceRecorder) -> None:
-        self_review(agent, task, backend, templates, config.t_max_self,
-                    format_retry=config.format_retry, recorder=own, flattened=flattened)
 
     width = min(len(agents), PANEL_WIDTH_MAX) if getattr(backend, "order_independent", False) else 1
     pool = ThreadPoolExecutor(width, thread_name_prefix=PANEL_THREAD_PREFIX) if width > 1 else None
     try:
-        _run_jobs([partial(solve, a) for a in agents], recorder, pool)
+        _run_jobs(run, solve, agents, pool)
         solvers = [a for a in agents if a.current_solution is not None]
         if StageName.SELF_REVIEW in config.stages:
-            _run_jobs([partial(review, a) for a in solvers], recorder, pool)
+            _run_jobs(run, self_review, solvers, pool)
 
         if not solvers:
             trace.complete = False
             trace.error = "no agent produced a solution"
         elif StageName.PEER_REVIEW in config.stages:
-            result = peer_review(solvers, task, backend, templates, config,
-                                 recorder=recorder, flattened=flattened, pool=pool)
+            result = peer_review(run, solvers, pool)
             trace.presentation_order = result.presentation_order
             trace.rounds = result.rounds
             trace.outcome = result.outcome
@@ -695,9 +639,9 @@ def run_panel(
         if pool is not None:
             pool.shutdown()
 
-    trace.records = recorder.records
+    trace.records = run.recorder.records
     trace.failed_agents = [a.name for a in agents if a.failed_stage is not None]
-    trace.llm_calls = recorder.calls
+    trace.llm_calls = run.recorder.calls
     return trace
 
 

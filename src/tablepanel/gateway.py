@@ -3,8 +3,7 @@
 Two implementations: a live OpenAI-compatible HTTP backend (keep-alive
 connections over the standard library's ``http.client``; retries with
 exponential backoff on 429/5xx/transport errors) and a deterministic
-scripted backend for tests. Both are safe to share across threads and
-count every ``complete()`` invocation, including failed ones.
+scripted backend for tests. Both are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -109,20 +108,6 @@ class ChatBackend(Protocol):
     temperature: float
 
     def complete(self, request: ChatRequest) -> str: ...
-
-
-class _CallCounter:
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._calls = 0
-
-    def bump(self) -> None:
-        with self._lock:
-            self._calls += 1
-
-    def value(self) -> int:
-        with self._lock:
-            return self._calls
 
 
 def _retry_after_s(value: Optional[str]) -> Optional[float]:
@@ -246,12 +231,8 @@ class OpenAIChatBackend:
         self.config = config
         self.model_name = config.model_name
         self.temperature = config.temperature
-        self._counter = _CallCounter()
         self._rng = rng or random.Random()
         self._pool = _ConnectionPool(config.base_url, config.request_timeout)
-
-    def count_calls(self) -> int:
-        return self._counter.value()
 
     def close(self) -> None:
         """Close the idle connections; a later call opens new ones."""
@@ -269,7 +250,6 @@ class OpenAIChatBackend:
         return key
 
     def complete(self, request: ChatRequest) -> str:
-        self._counter.bump()
         headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
         key = self._api_key()
         if key is not None:
@@ -361,7 +341,6 @@ class ScriptedBackend:
         self._entries = [self._coerce(e) for e in script]
         self.strict = strict
         self.fallback = fallback
-        self._counter = _CallCounter()
         self._lock = threading.Lock()
 
     @staticmethod
@@ -373,9 +352,6 @@ class ScriptedBackend:
         matcher, response = entry
         return ScriptEntry(response=response, matcher=matcher)
 
-    def count_calls(self) -> int:
-        return self._counter.value()
-
     def close(self) -> None:
         """Nothing to release; here so that callers close every backend alike."""
 
@@ -384,7 +360,6 @@ class ScriptedBackend:
             return len(self._entries)
 
     def complete(self, request: ChatRequest) -> str:
-        self._counter.bump()
         text = request.text()
         with self._lock:
             for i, entry in enumerate(self._entries):

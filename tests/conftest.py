@@ -4,10 +4,12 @@ import threading
 
 import pytest
 
-from tablepanel.deliberation import PANEL_THREAD_PREFIX
+from tablepanel.deliberation import PANEL_THREAD_PREFIX, PanelRun, PipelineConfig
 from tablepanel.gateway import ScriptedBackend, ScriptEntry
-from tablepanel.personas import OUTPUT_CONTRACTS, Stage
-from tablepanel.tables import Answer, ContextPassages, Query, Table, TaskInstance, TaskKind
+from tablepanel.personas import OUTPUT_CONTRACTS, Panel, PromptLibrary, Stage, default_panel
+from tablepanel.tables import (
+    Answer, ContextPassages, Query, Table, TaskInstance, TaskKind, flatten_table,
+)
 
 
 def stage_entry(stage: Stage, response: str) -> ScriptEntry:
@@ -80,3 +82,14 @@ def unanimity_script(answer: str, agents: int = 5) -> list[ScriptEntry]:
 
 def make_backend(entries, strict: bool = True) -> ScriptedBackend:
     return ScriptedBackend(entries, strict=strict)
+
+
+def make_run(task: TaskInstance, backend, config: PipelineConfig | None = None,
+             **fields) -> PanelRun:
+    """A run for calling one stage function directly: ``config``, or a
+    one-member panel with the given ``PipelineConfig`` fields
+    (``t_max_self``, ``format_retry``, ...)."""
+    if config is None:
+        config = PipelineConfig(panel=Panel((default_panel().members[0],)), **fields)
+    return PanelRun(task, config, backend, PromptLibrary.default(),
+                    flatten_table(task.table, task.context))

@@ -40,18 +40,18 @@ from tablepanel.extraction import (
 )
 from tablepanel.gateway import BackendConfig, OpenAIChatBackend
 from tablepanel.metrics import Prediction, denotation_accuracy, exact_match, feverous_score, micro_f1_3way, token_f1
-from tablepanel.personas import OUTPUT_CONTRACTS, PromptLibrary, Stage
+from tablepanel.personas import OUTPUT_CONTRACTS, Stage
 from tablepanel.tables import Answer, TaskKind
 
 from conftest import (
     assessment_text,
     make_backend,
+    make_run,
     stage_entries,
     stage_entry,
     unanimity_script,
 )
 
-LIB = PromptLibrary.default()
 QA = TaskKind.qa()
 
 
@@ -160,10 +160,10 @@ def test_criterion_5_self_review_loop_semantics(qa_task):
         from tablepanel.deliberation import AgentState, investigate
         from tablepanel.personas import default_panel
         agent = AgentState(persona=default_panel().members[0])
-        investigate(agent, qa_task, make_backend([
+        investigate(make_run(qa_task, make_backend([
             stage_entry(Stage.ASSESS, assessment_text()),
             stage_entry(Stage.SOLVE, "ANSWER: 5"),
-        ]), LIB)
+        ])), agent)
         return agent
 
     refine = [stage_entry(Stage.ASSESS, assessment_text()),
@@ -184,9 +184,9 @@ def test_criterion_5_self_review_loop_semantics(qa_task):
     ]
     for t_max_self, script, expected_calls, expected_final, expected_verdict in cases:
         agent = prepared_agent()
-        backend = make_backend(list(script))
-        self_review(agent, qa_task, backend, LIB, t_max_self=t_max_self)
-        assert backend.count_calls() == expected_calls, (t_max_self, expected_calls)
+        run = make_run(qa_task, make_backend(list(script)), t_max_self=t_max_self)
+        self_review(run, agent)
+        assert run.recorder.calls == expected_calls, (t_max_self, expected_calls)
         assert agent.current_solution.raw == expected_final
         assert agent.verdict is expected_verdict
     _ok(5, "verify/refine loop matches derived call counts and final solutions")

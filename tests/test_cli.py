@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import tablepanel
 from tablepanel.cli import build_backend, main, resolve_config
 from tablepanel.gateway import BackendConfig, OpenAIChatBackend
 from tablepanel.personas import OUTPUT_CONTRACTS, Stage
@@ -270,3 +276,55 @@ class TestConfigResolution:
             api_key_env_var="SOME_KEY_VAR"))
         summary = _backend_summary(backend)
         assert summary == {"model_name": "m", "base_url": "http://example.test/v1"}
+
+
+def _trace(**fields) -> dict:
+    trace = {"task_id": "x", "config_digest": "d", "records": [], "presentation_order": [],
+             "rounds": [], "outcome": None, "llm_calls": 0}
+    return {**trace, **fields}
+
+
+# Well-formed JSON of the wrong shape, per input file: (command, file contents).
+MALFORMED = {
+    "trace-list": ("score", [1]),
+    "trace-records-int": ("score", _trace(records=5)),
+    "trace-record-int": ("score", _trace(records=[5])),
+    "trace-final-str": ("score", _trace(final="B-1")),
+    "trace-round-list": ("score", _trace(rounds=[[1]])),
+    "trace-task-id-list": ("score", _trace(task_id=[1])),
+    "config-list": ("config", [1]),
+    "config-panel-int": ("config", {"panel": 5}),
+    "config-t-max-str": ("config", {"preset": "full", "t_max_self": "2"}),
+    "config-preset-list": ("config", {"preset": ["full"]}),
+    "config-persona-int": ("config", {"panel": [{"name": 5, "focus": "Check"}]}),
+    "backend-list": ("backend", [1]),
+    "backend-url-int": ("backend", {"type": "openai", "base_url": 5, "model_name": "m"}),
+    "backend-response-int": ("backend", {"type": "scripted", "script": [{"response": 5}]}),
+    "backend-match-int": ("backend", {"type": "scripted",
+                                      "script": [{"response": "hi", "match": 5}]}),
+    "backend-script-int": ("backend", {"type": "scripted", "script": [5]}),
+    "backend-repeat-str": ("backend", {"type": "scripted",
+                                       "script": [{"response": "hi", "repeat": "many"}]}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_file_exits_1_without_traceback(tmp_path, case):
+    command, content = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content) + "\n", encoding="utf-8")
+    good_backend = script_file(tmp_path / "good.json", unanimity_items())
+    argv = {
+        "score": ["score", str(bad), "tatqa", "fixture"],
+        "config": ["bench", "tatqa", "fixture", "--limit", "1", "--config", str(bad),
+                   "--backend", good_backend, "--out", str(tmp_path / "out")],
+        "backend": ["bench", "tatqa", "fixture", "--limit", "1", "--backend", str(bad),
+                    "--out", str(tmp_path / "out")],
+    }[command]
+    src = str(Path(tablepanel.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-m", "tablepanel.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error: "), result.stderr
+    assert "Traceback" not in result.stderr

@@ -34,19 +34,19 @@ from tablepanel.deliberation import (
 )
 from tablepanel.extraction import Complexity, Verdict
 from tablepanel.gateway import ChatRequest, TransportError
-from tablepanel.personas import OUTPUT_CONTRACTS, Panel, Persona, PromptLibrary, Stage, default_panel
+from tablepanel.personas import OUTPUT_CONTRACTS, Panel, Persona, Stage, default_panel
 from tablepanel.tables import Answer, TaskKind
 
 from conftest import (
     assessment_text,
     make_backend,
+    make_run,
     make_task,
     stage_entries,
     stage_entry,
     unanimity_script,
 )
 
-LIB = PromptLibrary.default()
 QA = TaskKind.qa()
 FACT = TaskKind.fact_verify(("entailed", "refuted", "unknown"))
 
@@ -65,27 +65,28 @@ class TestInvestigate:
             stage_entry(Stage.ASSESS, "COMPLEXITY: intermediate\nNOTES:\n- unit standardization"),
             stage_entry(Stage.SOLVE, "ANSWER: 120"),
         ])
-        a = investigate(agent(), qa_task, backend, LIB)
+        run = make_run(qa_task, backend)
+        a = investigate(run, agent())
         assert a.complexity is Complexity.INTERMEDIATE
         assert a.notes.points == ("unit standardization",)
         assert a.current_solution.raw == "120"
-        assert backend.count_calls() == 2
+        assert run.recorder.calls == 2
 
     def test_basic_assessment_with_empty_notes(self, qa_task):
         backend = make_backend([
             stage_entry(Stage.ASSESS, "COMPLEXITY: basic\nNOTES:"),
             stage_entry(Stage.SOLVE, "ANSWER: Refuted"),
         ])
-        a = investigate(agent(), qa_task, backend, LIB)
+        a = investigate(make_run(qa_task, backend), agent())
         assert a.complexity is Complexity.BASIC
         assert a.current_solution.raw == "Refuted"
 
     def test_garbage_with_no_retry_fails_stage(self, qa_task):
-        backend = make_backend(["garbage", "garbage"])
+        run = make_run(qa_task, make_backend(["garbage", "garbage"]), format_retry=0)
         with pytest.raises(StageFailed) as err:
-            investigate(agent(), qa_task, backend, LIB, format_retry=0)
+            investigate(run, agent())
         assert err.value.stage is Stage.ASSESS
-        assert backend.count_calls() == 1  # one attempt, no retry
+        assert run.recorder.calls == 1  # one attempt, no retry
 
     def test_format_retry_consumes_next_entry(self, qa_task):
         backend = make_backend([
@@ -93,16 +94,17 @@ class TestInvestigate:
             stage_entry(Stage.ASSESS, assessment_text()),
             stage_entry(Stage.SOLVE, "ANSWER: 7"),
         ])
-        a = investigate(agent(), qa_task, backend, LIB, format_retry=1)
+        run = make_run(qa_task, backend, format_retry=1)
+        a = investigate(run, agent())
         assert a.current_solution.raw == "7"
-        assert backend.count_calls() == 3
+        assert run.recorder.calls == 3
 
     def test_process_memory_grows_with_exchanges(self, qa_task):
         backend = make_backend([
             stage_entry(Stage.ASSESS, assessment_text()),
             stage_entry(Stage.SOLVE, "ANSWER: 1"),
         ])
-        a = investigate(agent(), qa_task, backend, LIB)
+        a = investigate(make_run(qa_task, backend), agent())
         assert [m.role for m in a.history] == ["user", "assistant", "user", "assistant"]
 
     def test_solve_prompt_carries_assessment_bindings(self, qa_task):
@@ -114,7 +116,7 @@ class TestInvestigate:
             stage_entry(Stage.ASSESS, "COMPLEXITY: complex\nNOTES:\n- watch the units"),
             spy_entry,
         ])
-        investigate(agent(), qa_task, backend, LIB)
+        investigate(make_run(qa_task, backend), agent())
         assert "complex" in seen[0]
         assert "- watch the units" in seen[0]
 
@@ -122,24 +124,27 @@ class TestInvestigate:
 class TestDirectSolve:
     def test_single_call(self, qa_task):
         backend = make_backend([stage_entry(Stage.SOLVE, "ANSWER: 42")])
-        a = direct_solve(agent(), qa_task, backend, LIB)
+        run = make_run(qa_task, backend)
+        a = direct_solve(run, agent())
         assert a.current_solution.raw == "42"
         assert a.complexity is None
-        assert backend.count_calls() == 1
+        assert run.recorder.calls == 1
 
     def test_retry_then_success(self, qa_task):
         backend = make_backend(["no marker", stage_entry(Stage.SOLVE, "ANSWER: 7")])
-        a = direct_solve(agent(), qa_task, backend, LIB, format_retry=1)
+        run = make_run(qa_task, backend, format_retry=1)
+        a = direct_solve(run, agent())
         assert a.current_solution.raw == "7"
-        assert backend.count_calls() == 2
+        assert run.recorder.calls == 2
 
     def test_unmappable_label_becomes_disagreement_vote(self):
         task = make_task(kind=FACT)
         backend = make_backend([stage_entry(Stage.SOLVE, "ANSWER: probably true")])
-        a = direct_solve(agent(), task, backend, LIB)
+        run = make_run(task, backend)
+        a = direct_solve(run, agent())
         assert a.current_solution.raw == "probably true"
         assert a.current_solution.normalized == "probably true"  # not a canonical label
-        assert backend.count_calls() == 1
+        assert run.recorder.calls == 1
 
 
 class TestSelfReview:
@@ -149,16 +154,17 @@ class TestSelfReview:
             stage_entry(Stage.ASSESS, assessment_text()),
             stage_entry(Stage.SOLVE, "ANSWER: 5"),
         ])
-        investigate(a, qa_task, backend_pre, LIB)
+        investigate(make_run(qa_task, backend_pre), a)
         return a
 
     def test_validated_stops_after_one_call(self, qa_task):
         backend = make_backend([stage_entry(Stage.VERIFY, "VERDICT: validated")])
         a = self.prepared_agent(qa_task, backend)
-        self_review(a, qa_task, backend, LIB, t_max_self=1)
+        run = make_run(qa_task, backend, t_max_self=1)
+        self_review(run, a)
         assert a.verdict is Verdict.VALIDATED
         assert a.current_solution.raw == "5"
-        assert backend.count_calls() == 1
+        assert run.recorder.calls == 1
 
     def test_cap_keeps_latest_solution_despite_uncertain(self, qa_task):
         backend = make_backend([
@@ -168,10 +174,11 @@ class TestSelfReview:
             stage_entry(Stage.VERIFY, "VERDICT: uncertain"),
         ])
         a = self.prepared_agent(qa_task, backend)
-        self_review(a, qa_task, backend, LIB, t_max_self=1)
+        run = make_run(qa_task, backend, t_max_self=1)
+        self_review(run, a)
         assert a.current_solution.raw == "7"
         assert a.verdict is Verdict.UNCERTAIN
-        assert backend.count_calls() == 4
+        assert run.recorder.calls == 4
 
     def test_uncertain_then_validated_stops_after_first_refinement(self, qa_task):
         backend = make_backend([
@@ -181,10 +188,11 @@ class TestSelfReview:
             stage_entry(Stage.VERIFY, "VERDICT: validated"),
         ])
         a = self.prepared_agent(qa_task, backend)
-        self_review(a, qa_task, backend, LIB, t_max_self=2)
+        run = make_run(qa_task, backend, t_max_self=2)
+        self_review(run, a)
         assert a.verdict is Verdict.VALIDATED
         assert a.current_solution.raw == "8"
-        assert backend.count_calls() == 4  # verify + (assess+solve) + verify
+        assert run.recorder.calls == 4  # verify + (assess+solve) + verify
 
     def test_failure_during_refinement_keeps_last_good_solution(self, qa_task):
         backend = make_backend([
@@ -192,13 +200,13 @@ class TestSelfReview:
             "garbage",  # re-assessment fails
         ])
         a = self.prepared_agent(qa_task, backend)
-        self_review(a, qa_task, backend, LIB, t_max_self=1, format_retry=0)
+        self_review(make_run(qa_task, backend, t_max_self=1, format_retry=0), a)
         assert a.current_solution.raw == "5"
         assert a.verdict is Verdict.UNCERTAIN
 
     def test_requires_existing_solution(self, qa_task):
         with pytest.raises(ValueError):
-            self_review(agent(), qa_task, make_backend([]), LIB)
+            self_review(make_run(qa_task, make_backend([])), agent())
 
 
 class TestConsensus:
@@ -288,7 +296,7 @@ def solved_agents(task, answers: list[str]) -> list[AgentState]:
     for persona, text in zip(default_panel().members, answers):
         a = AgentState(persona=persona)
         backend = make_backend([stage_entry(Stage.SOLVE, f"ANSWER: {text}")])
-        direct_solve(a, task, backend, LIB)
+        direct_solve(make_run(task, backend), a)
         agents.append(a)
     return agents
 
@@ -297,11 +305,12 @@ class TestPeerReview:
     def test_unanimous_presentations_short_circuit(self, qa_task):
         agents = solved_agents(qa_task, ["B-1"] * 5)
         backend = make_backend(positional_present_entries(["B-1"] * 5))
-        result = peer_review(agents, qa_task, backend, LIB, peer_config())
+        run = make_run(qa_task, backend, peer_config())
+        result = peer_review(run, agents)
         assert result.outcome == OUTCOME_UNANIMOUS_INITIAL
         assert result.rounds == []
         assert result.final.normalized == "b-1"
-        assert backend.count_calls() == 5
+        assert run.recorder.calls == 5
 
     def test_derived_vote_after_one_round(self, qa_task):
         # presentations X,X,Y,Y,Z; round 1 -> X,X,X,Y,Z; vote returns X
@@ -311,7 +320,7 @@ class TestPeerReview:
             + positional_deliberate_entries(
                 [("keep", "X"), ("keep", "X"), ("change", "X"), ("keep", "Y"), ("keep", "Z")])
         )
-        result = peer_review(agents, qa_task, backend, LIB, peer_config(t_max_panel=1))
+        result = peer_review(make_run(qa_task, backend, peer_config(t_max_panel=1)), agents)
         assert result.outcome == OUTCOME_MAJORITY_VOTE
         assert len(result.rounds) == 1
         assert result.final.normalized == "x"
@@ -324,7 +333,7 @@ class TestPeerReview:
             positional_present_entries(["X", "X", "X", "X", "Y"])
             + positional_deliberate_entries([("keep", "X")] * 4 + [("change", "X")])
         )
-        result = peer_review(agents, qa_task, backend, LIB, peer_config(t_max_panel=3))
+        result = peer_review(make_run(qa_task, backend, peer_config(t_max_panel=3)), agents)
         assert result.outcome == OUTCOME_CONSENSUS_ROUND
         assert result.consensus_round == 1
         assert len(result.rounds) == 1
@@ -339,7 +348,7 @@ class TestPeerReview:
                 + positional_deliberate_entries(
                     [("keep", a) for a in distinct] * t_max)
             )
-            result = peer_review(agents, qa_task, backend, LIB, peer_config(t_max_panel=t_max))
+            result = peer_review(make_run(qa_task, backend, peer_config(t_max_panel=t_max)), agents)
             assert result.outcome == OUTCOME_MAJORITY_VOTE
             assert len(result.rounds) == t_max
 
@@ -348,12 +357,12 @@ class TestPeerReview:
         for _ in range(2):
             agents = solved_agents(qa_task, ["X"] * 5)
             backend = make_backend(positional_present_entries(["X"] * 5))
-            result = peer_review(agents, qa_task, backend, LIB, peer_config(seed=123))
+            result = peer_review(make_run(qa_task, backend, peer_config(seed=123)), agents)
             orders.append(result.presentation_order)
         assert orders[0] == orders[1]
         agents = solved_agents(qa_task, ["X"] * 5)
         backend = make_backend(positional_present_entries(["X"] * 5))
-        other = peer_review(agents, qa_task, backend, LIB, peer_config(seed=124))
+        other = peer_review(make_run(qa_task, backend, peer_config(seed=124)), agents)
         assert set(other.presentation_order) == set(orders[0])
 
     def test_failed_presenter_keeps_frozen_answer_and_counts(self, qa_task):
@@ -366,7 +375,7 @@ class TestPeerReview:
             + positional_present_entries(["X", "X", "Y", "Y"])
             + positional_deliberate_entries([("keep", "X")] * 2 + [("keep", "Y")] * 2)
         )
-        result = peer_review(agents, qa_task, backend, LIB, config)
+        result = peer_review(make_run(qa_task, backend, config), agents)
         frozen_name = result.presentation_order[0]
         frozen_answer = by_name[frozen_name].current_solution
         # the frozen agent appears in every round with its pre-panel answer
@@ -386,7 +395,7 @@ class TestPeerReview:
             base = e.matcher
             e.matcher = (lambda b: lambda t: b in t and spy(t))(base)
         backend = make_backend(entries)
-        peer_review(agents, qa_task, backend, LIB, peer_config())
+        peer_review(make_run(qa_task, backend, peer_config()), agents)
         assert "(none yet; you present first)" in seen[0]
         assert "X" in seen[1]  # first presenter's answer visible to the second
 
@@ -408,15 +417,6 @@ class TestRunPanel:
         assert trace.llm_calls == 20
         assert trace.outcome == OUTCOME_UNANIMOUS_INITIAL
         assert trace.final.raw == "B-1"
-
-    def test_call_accounting_matches_backend_delta(self, qa_task):
-        config = ablation_presets(seed=3)["full"]
-        warmup = [stage_entry(Stage.SOLVE, "ANSWER: warm")]
-        backend = make_backend(warmup + unanimity_script("B-1"))
-        direct_solve(agent(), qa_task, backend, LIB)  # warm the counter
-        before = backend.count_calls()
-        trace = run_panel(qa_task, config, backend)
-        assert trace.llm_calls == backend.count_calls() - before
 
     def test_single_agent_full_stack_never_enters_rounds(self, qa_task):
         config = PipelineConfig(
