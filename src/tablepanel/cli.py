@@ -88,25 +88,24 @@ def _load_json_file(path: str, what: str) -> dict:
 
 def build_backend(path: str) -> OpenAIChatBackend | ScriptedBackend:
     """Backend config file: {"type": "openai", ...BackendConfig fields} or
-    {"type": "scripted", "strict": bool, "fallback": str,
-     "script": [{"response": str, "match": str?, "repeat": int?}, ...]}.
-    The caller closes the backend it gets."""
+    {"type": "scripted", "script": [{"response": str, "match": str?, "repeat":
+     int >= 1 (default 1) or null (unlimited)}, ...]} (see gateway). The
+    caller closes the backend it gets."""
     data = _load_json_file(path, "backend config")
     backend_type = data.get("type", "openai")
     try:
         if backend_type == "scripted":
+            if data.get("strict", True) is not True or "fallback" in data:
+                raise ValueError('"strict": false and "fallback" are gone; end the script '
+                                 'with {"response": FALLBACK, "repeat": null} instead')
             entries = []
             for item in data.get("script", []):
-                entry = ScriptEntry(response=item["response"], matcher=item.get("match"))
+                entry = ScriptEntry(item["response"], item.get("match"), item.get("repeat", 1))
                 if not (isinstance(entry.response, str)
                         and isinstance(entry.matcher, (str, type(None)))):
                     raise TypeError(f"script entry {item!r} needs a string response and match")
-                entries.extend([entry] * int(item.get("repeat", 1)))
-            return ScriptedBackend(
-                script=entries,
-                strict=bool(data.get("strict", True)),
-                fallback=data.get("fallback", "NO SCRIPTED RESPONSE"),
-            )
+                entries.append(entry)
+            return ScriptedBackend(entries)
         if backend_type == "openai":
             fields = {k: v for k, v in data.items() if k != "type"}
             return OpenAIChatBackend(BackendConfig(**fields))
@@ -336,7 +335,8 @@ def cmd_ablate(args) -> int:
         raise CliError("dataset yielded no tasks", 1)
     templates = _templates(args)
     rows = []
-    for name, config in ablation_presets(args.seed or 0).items():
+    for name in ablation_presets():
+        config = resolve_config(name, args.seed, args.t_max)
         with closing(build_backend(args.backend)) as backend:  # fresh backend per preset row
             traces, report, failures = _bench_once(tasks, config, backend, templates, args.jobs)
         rows.append({
@@ -405,9 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     kinds = [k.value for k in DatasetKind]
 
-    def add_common(p, backend_required=True):
-        p.add_argument("--config", default="full", help="preset name or JSON config file")
-        p.add_argument("--backend", required=backend_required, help="backend config JSON file")
+    def add_common(p):
+        p.add_argument("--backend", required=True, help="backend config JSON file")
         p.add_argument("--templates", help="directory of stage template overrides")
         p.add_argument("--seed", type=int, default=None, help="ordering/panel seed")
         p.add_argument("--t-max", type=int, default=None, dest="t_max",
@@ -428,6 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default="runs/bench", help="output directory")
     add_common(bench)
     bench.set_defaults(func=cmd_bench)
+    for p in (ask, bench):  # ablate runs every preset
+        p.add_argument("--config", default="full", help="preset name or JSON config file")
 
     ablate = sub.add_parser("ablate", help="run every pipeline preset over one dataset")
     ablate.add_argument("kind", choices=kinds)

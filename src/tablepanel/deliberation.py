@@ -192,6 +192,8 @@ def _answer_to_json(answer: Optional[Answer]) -> Optional[dict]:
 def _answer_from_json(data: Optional[dict]) -> Optional[Answer]:
     if data is None:
         return None
+    if not (isinstance(data["raw"], str) and isinstance(data["normalized"], str)):
+        raise TypeError(f"answer {data!r} needs a string raw and normalized")
     return Answer(raw=data["raw"], normalized=data["normalized"])
 
 
@@ -236,6 +238,8 @@ class DeliberationTrace:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeliberationTrace":
+        if not isinstance(data.get("complete", True), bool):
+            raise TypeError(f"complete must be true or false, got {data['complete']!r}")
         return cls(
             task_id=data["task_id"],
             config_digest=data["config_digest"],

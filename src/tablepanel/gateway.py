@@ -4,6 +4,10 @@ Two implementations: a live OpenAI-compatible HTTP backend (keep-alive
 connections over the standard library's ``http.client``; retries with
 exponential backoff on 429/5xx/transport errors) and a deterministic
 scripted backend for tests. Both are safe to share across threads.
+
+A script entry answers ``repeat`` matching calls in arrival order, or every
+matching call when ``repeat`` is None; a script of such unlimited entries is
+a pure function of the request, so its runs fan out like the HTTP backend's.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class MissingApiKey(GatewayError):
 
 
 class ScriptExhausted(GatewayError):
-    """A strict scripted backend had no entry matching the request."""
+    """No script entry with calls left matched the request."""
 
 
 @dataclass(frozen=True)
@@ -307,10 +311,16 @@ Matcher = Union[str, Callable[[str], bool], None]
 @dataclass
 class ScriptEntry:
     """One canned response; ``matcher`` is a substring, a predicate over the
-    request text, or None (matches anything)."""
+    request text, or None (matches anything). The entry answers ``repeat``
+    matching calls, or every one of them when ``repeat`` is None."""
 
     response: str
     matcher: Matcher = None
+    repeat: Optional[int] = 1
+
+    def __post_init__(self) -> None:
+        if self.repeat is not None and (type(self.repeat) is not int or self.repeat < 1):
+            raise ValueError(f"repeat must be an int >= 1 or None (JSON null), got {self.repeat!r}")
 
     def matches(self, request_text: str) -> bool:
         if self.matcher is None:
@@ -321,51 +331,36 @@ class ScriptEntry:
 
 
 class ScriptedBackend:
-    """Deterministic replay backend: consumes the first matching entry of an
-    ordered script per call. In strict mode a request with no matching entry
-    raises ScriptExhausted; otherwise a fixed fallback string is returned.
-    """
+    """Deterministic backend: a call gets the response of the first entry that
+    matches it and has calls left, or raises ScriptExhausted. The entries are
+    never modified, so one script can seed several backends."""
 
     model_name = "scripted"
     temperature = 0.0
-    # Which entry a request consumes depends on the order of arrival, so the
-    # calls of one run must stay sequential.
-    order_independent = False
 
-    def __init__(
-        self,
-        script: Iterable[Union[str, tuple, ScriptEntry]] = (),
-        strict: bool = True,
-        fallback: str = "NO SCRIPTED RESPONSE",
-    ):
-        self._entries = [self._coerce(e) for e in script]
-        self.strict = strict
-        self.fallback = fallback
+    def __init__(self, script: Iterable[Union[str, ScriptEntry]] = ()):
+        self._entries = [e if isinstance(e, ScriptEntry) else ScriptEntry(e) for e in script]
+        self._left = [e.repeat for e in self._entries]  # calls left; None: unlimited
         self._lock = threading.Lock()
-
-    @staticmethod
-    def _coerce(entry: Union[str, tuple, ScriptEntry]) -> ScriptEntry:
-        if isinstance(entry, ScriptEntry):
-            return entry
-        if isinstance(entry, str):
-            return ScriptEntry(response=entry)
-        matcher, response = entry
-        return ScriptEntry(response=response, matcher=matcher)
+        # Counted entries serve calls in arrival order: only without them may a run fan out.
+        self.order_independent = bool(self._entries) and all(n is None for n in self._left)
 
     def close(self) -> None:
         """Nothing to release; here so that callers close every backend alike."""
 
     def remaining(self) -> int:
+        """Calls left in the counted entries."""
         with self._lock:
-            return len(self._entries)
+            return sum(n for n in self._left if n is not None)
 
     def complete(self, request: ChatRequest) -> str:
         text = request.text()
         with self._lock:
             for i, entry in enumerate(self._entries):
                 if entry.matches(text):
-                    del self._entries[i]
+                    if self._left[i] == 1:
+                        del self._entries[i], self._left[i]
+                    elif self._left[i] is not None:
+                        self._left[i] -= 1
                     return entry.response
-        if self.strict:
-            raise ScriptExhausted(f"no scripted entry matches request:\n{text[:300]}")
-        return self.fallback
+        raise ScriptExhausted(f"no scripted entry matches request:\n{text[:300]}")

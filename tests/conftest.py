@@ -80,8 +80,8 @@ def unanimity_script(answer: str, agents: int = 5) -> list[ScriptEntry]:
     )
 
 
-def make_backend(entries, strict: bool = True) -> ScriptedBackend:
-    return ScriptedBackend(entries, strict=strict)
+def make_backend(entries) -> ScriptedBackend:
+    return ScriptedBackend(entries)
 
 
 def make_run(task: TaskInstance, backend, config: PipelineConfig | None = None,

@@ -59,16 +59,16 @@ def _ok(criterion: int, text: str) -> None:
     print(f"PASS criterion {criterion}: {text}")
 
 
-def _script_items(answer: str = "42", repeat: int = 500) -> list[dict]:
+def _script_items(answer: str = "42") -> list[dict]:
     return [
         {"match": OUTPUT_CONTRACTS[Stage.ASSESS],
-         "response": "COMPLEXITY: basic\nNOTES:\n- direct lookup", "repeat": repeat},
+         "response": "COMPLEXITY: basic\nNOTES:\n- direct lookup", "repeat": None},
         {"match": OUTPUT_CONTRACTS[Stage.SOLVE],
-         "response": f"ANSWER: {answer}", "repeat": repeat},
+         "response": f"ANSWER: {answer}", "repeat": None},
         {"match": OUTPUT_CONTRACTS[Stage.VERIFY],
-         "response": "VERDICT: validated", "repeat": repeat},
+         "response": "VERDICT: validated", "repeat": None},
         {"match": OUTPUT_CONTRACTS[Stage.PRESENT],
-         "response": f"RATIONALE: table lookup\nANSWER: {answer}", "repeat": repeat},
+         "response": f"RATIONALE: table lookup\nANSWER: {answer}", "repeat": None},
     ]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import tablepanel
 from tablepanel.cli import build_backend, main, resolve_config
+from tablepanel.datasets import DatasetKind
 from tablepanel.gateway import BackendConfig, OpenAIChatBackend
 from tablepanel.personas import OUTPUT_CONTRACTS, Stage
 from tablepanel.cli import _backend_summary
@@ -20,18 +22,34 @@ def script_file(path: Path, items: list[dict]) -> str:
     return str(path)
 
 
-def stage_item(stage: Stage, response: str, repeat: int = 1) -> dict:
+def stage_item(stage: Stage, response: str, repeat: int | None = 1) -> dict:
     return {"match": OUTPUT_CONTRACTS[stage], "response": response, "repeat": repeat}
 
 
-def unanimity_items(answer: str = "42", repeat: int = 500) -> list[dict]:
+def unanimity_items(answer: str = "42") -> list[dict]:
     return [
-        stage_item(Stage.ASSESS, "COMPLEXITY: basic\nNOTES:\n- direct lookup", repeat),
-        stage_item(Stage.SOLVE, f"ANSWER: {answer}", repeat),
-        stage_item(Stage.VERIFY, "VERDICT: validated", repeat),
-        stage_item(Stage.PRESENT, f"RATIONALE: table lookup\nANSWER: {answer}", repeat),
-        stage_item(Stage.DELIBERATE, f"POSITION: keep\nANSWER: {answer}", repeat),
+        stage_item(Stage.ASSESS, "COMPLEXITY: basic\nNOTES:\n- direct lookup", None),
+        stage_item(Stage.SOLVE, f"ANSWER: {answer}", None),
+        stage_item(Stage.VERIFY, "VERDICT: validated", None),
+        stage_item(Stage.PRESENT, f"RATIONALE: table lookup\nANSWER: {answer}", None),
+        stage_item(Stage.DELIBERATE, f"POSITION: keep\nANSWER: {answer}", None),
     ]
+
+
+def disagreeing_items() -> list[dict]:
+    """Five distinct presentations, and three rounds in which every agent
+    keeps a distinct answer: a panel of up to five never agrees."""
+    distinct = ["V-1", "W-2", "X-3", "Y-4", "Z-5"]
+    items = [
+        stage_item(Stage.ASSESS, "COMPLEXITY: basic\nNOTES:\n- look", 10),
+        stage_item(Stage.SOLVE, "ANSWER: seed", 10),
+        stage_item(Stage.VERIFY, "VERDICT: validated", 10),
+    ]
+    items += [stage_item(Stage.PRESENT, f"RATIONALE: r\nANSWER: {a}") for a in distinct]
+    for _ in range(3):
+        items += [stage_item(Stage.DELIBERATE, f"POSITION: keep\nANSWER: {a}")
+                  for a in distinct]
+    return items
 
 
 def table_csv(path: Path) -> str:
@@ -126,18 +144,7 @@ class TestBench:
         assert manifest["totals"]["llm_calls"] == 3  # vanilla: one call per task
 
     def test_t_max_override_caps_rounds(self, tmp_path, capsys):
-        # presentations disagree; every agent keeps its position each round
-        distinct = ["V-1", "W-2", "X-3", "Y-4", "Z-5"]
-        items = [
-            stage_item(Stage.ASSESS, "COMPLEXITY: basic\nNOTES:\n- look", 10),
-            stage_item(Stage.SOLVE, "ANSWER: seed", 10),
-            stage_item(Stage.VERIFY, "VERDICT: validated", 10),
-        ]
-        items += [stage_item(Stage.PRESENT, f"RATIONALE: r\nANSWER: {a}") for a in distinct]
-        for _ in range(3):
-            items += [stage_item(Stage.DELIBERATE, f"POSITION: keep\nANSWER: {a}")
-                      for a in distinct]
-        backend = script_file(tmp_path / "b.json", items)
+        backend = script_file(tmp_path / "b.json", disagreeing_items())
         out = tmp_path / "capped"
         code = main(["bench", "tatqa", "fixture", "--config", "full",
                      "--backend", backend, "--limit", "1", "--seed", "5",
@@ -236,6 +243,46 @@ class TestAblate:
         assert rows["vanilla"]["llm_calls"] == 2  # 1 call x 2 tasks
         assert rows["full"]["llm_calls"] == 40  # 20 calls x 2 tasks
 
+    def test_t_max_applies_to_every_row(self, tmp_path, capsys):
+        backend = script_file(tmp_path / "b.json", disagreeing_items())
+        calls = {}
+        for t_max in ("1", "3"):
+            out = tmp_path / f"t{t_max}"
+            code = main(["ablate", "tatqa", "fixture", "--limit", "1", "--t-max", t_max,
+                         "--backend", backend, "--out", str(out)])
+            assert code == 0
+            rows = {r["preset"]: r for r in json.loads((out / "ablation.json").read_text())}
+            calls[t_max] = rows["full"]["llm_calls"]
+        # 5 x (assess, solve, verify, present) plus 5 calls per deliberation round
+        assert calls == {"1": 25, "3": 35}
+
+    def test_config_flag_is_rejected(self, tmp_path, capsys):
+        backend = script_file(tmp_path / "b.json", unanimity_items("42"))
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "tatqa", "fixture", "--config", "x", "--backend", backend])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+
+def readme_scripted_backend() -> str:
+    """The scripted backend example in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(r"```json\n(\{\"type\": \"scripted\".*?)```", readme, re.S).group(1)
+
+
+@pytest.mark.parametrize("kind", [k.value for k in DatasetKind])
+def test_readme_script_fans_out_with_byte_identical_outputs(tmp_path, capsys, kind):
+    backend = tmp_path / "readme.json"
+    backend.write_text(readme_scripted_backend(), encoding="utf-8")
+    assert build_backend(str(backend)).order_independent
+    outs = [tmp_path / "jobs1", tmp_path / "jobs4"]
+    for jobs, out in zip(("1", "4"), outs):
+        code = main(["bench", kind, "fixture", "--backend", str(backend), "--seed", "5",
+                     "--jobs", jobs, "--out", str(out)])
+        assert code == 0
+    for name in ("traces.jsonl", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 class TestConfigResolution:
     def test_preset_by_name(self):
@@ -292,6 +339,9 @@ MALFORMED = {
     "trace-final-str": ("score", _trace(final="B-1")),
     "trace-round-list": ("score", _trace(rounds=[[1]])),
     "trace-task-id-list": ("score", _trace(task_id=[1])),
+    "trace-final-int": ("score", _trace(task_id="tatqa-01", final={"raw": 5, "normalized": 5})),
+    "trace-complete-str": ("score", _trace(task_id="tatqa-01", complete="no",
+                                           final={"raw": "1,450", "normalized": "1450"})),
     "config-list": ("config", [1]),
     "config-panel-int": ("config", {"panel": 5}),
     "config-t-max-str": ("config", {"preset": "full", "t_max_self": "2"}),
@@ -305,6 +355,13 @@ MALFORMED = {
     "backend-script-int": ("backend", {"type": "scripted", "script": [5]}),
     "backend-repeat-str": ("backend", {"type": "scripted",
                                        "script": [{"response": "hi", "repeat": "many"}]}),
+    **{f"backend-repeat-{name}": ("backend", {"type": "scripted",
+                                              "script": [{"response": "hi", "repeat": value}]})
+       for name, value in (("zero", 0), ("negative", -2), ("float", 2.7), ("bool", True),
+                           ("numeric-str", "3"))},
+    "backend-strict-false": ("backend", {"type": "scripted", "strict": False,
+                                         "script": [{"response": "hi"}]}),
+    "backend-fallback": ("backend", {"type": "scripted", "fallback": "hi", "script": []}),
 }
 
 

@@ -33,7 +33,7 @@ from tablepanel.deliberation import (
     self_review,
 )
 from tablepanel.extraction import Complexity, Verdict
-from tablepanel.gateway import ChatRequest, TransportError
+from tablepanel.gateway import ChatRequest, ScriptedBackend, ScriptEntry, TransportError
 from tablepanel.personas import OUTPUT_CONTRACTS, Panel, Persona, Stage, default_panel
 from tablepanel.tables import Answer, TaskKind
 
@@ -632,6 +632,28 @@ class TestConcurrentPanel:
         assert trace.llm_calls == len(backend.spans) == 50
         # 2 investigation + 4 self-review + 5 presentations + 3 rounds
         assert critical_path(backend.spans) == 14
+
+    def test_unlimited_script_fans_out_with_the_sequential_trace(self, qa_task):
+        calls = []
+
+        def on(stage):
+            def match(text: str) -> bool:
+                if OUTPUT_CONTRACTS[stage] not in text:
+                    return False
+                calls.append((stage, threading.current_thread().name))
+                return True
+            return match
+
+        backend = ScriptedBackend([ScriptEntry(unanimous_policy(None, s, 0, 0), on(s), repeat=None)
+                                   for s in Stage])
+        config = ablation_presets(seed=3)["full"]
+        trace = run_panel(qa_task, config, backend)
+        assert trace.outcome == OUTCOME_UNANIMOUS_INITIAL and len(calls) == trace.llm_calls == 20
+        # Presentations stay on the calling thread; every other call ran on the pool.
+        assert {(stage, thread.startswith(PANEL_THREAD_PREFIX)) for stage, thread in calls} == {
+            (Stage.ASSESS, True), (Stage.SOLVE, True), (Stage.VERIFY, True), (Stage.PRESENT, False)}
+        sequential = run_panel(qa_task, config, PolicyBackend(unanimous_policy, order_independent=False))
+        assert trace.to_json_line() == sequential.to_json_line()
 
     def test_twelve_persona_panel_stays_within_the_thread_cap(self, qa_task):
         personas = tuple(Persona(f"Scientist {i}", "Check the table") for i in range(12))

@@ -67,9 +67,11 @@ class TestScriptedBackend:
         with pytest.raises(ScriptExhausted):
             backend.complete(req())
 
-    def test_non_strict_returns_fallback(self):
-        backend = ScriptedBackend([], strict=False, fallback="fallback")
-        assert backend.complete(req()) == "fallback"
+    def test_trailing_unlimited_entry_is_a_catch_all(self):
+        backend = ScriptedBackend([ScriptEntry("for a", matcher="alpha"),
+                                   ScriptEntry("fallback", repeat=None)])
+        assert [backend.complete(req(t)) for t in ("x", "alpha", "alpha", "y")] == [
+            "fallback", "for a", "fallback", "fallback"]
 
     def test_matcher_selects_first_matching_entry(self):
         backend = ScriptedBackend([
@@ -88,6 +90,27 @@ class TestScriptedBackend:
         assert backend.complete(req("x")) == "only"
         with pytest.raises(ScriptExhausted):
             backend.complete(req("x"))
+
+    def test_counted_entry_serves_n_calls_then_falls_through(self):
+        backend = ScriptedBackend([ScriptEntry("first", matcher="x", repeat=3),
+                                   ScriptEntry("second", matcher="x")])
+        assert backend.remaining() == 4
+        assert [backend.complete(req("x")) for _ in range(4)] == ["first"] * 3 + ["second"]
+        assert backend.remaining() == 0
+        with pytest.raises(ScriptExhausted):
+            backend.complete(req("x"))
+
+    def test_unlimited_entry_never_runs_out(self):
+        backend = ScriptedBackend([ScriptEntry("once", matcher="x"),
+                                   ScriptEntry("always", matcher="x", repeat=None)])
+        assert [backend.complete(req("x")) for _ in range(1000)] == ["once"] + ["always"] * 999
+        assert backend.remaining() == 0
+
+    def test_only_an_all_unlimited_script_is_order_independent(self):
+        counted, unlimited = ScriptEntry("c", repeat=2), ScriptEntry("u", repeat=None)
+        for script, independent in (([], False), ([counted], False), ([unlimited, counted], False),
+                                    ([unlimited], True), ([unlimited, unlimited], True)):
+            assert ScriptedBackend(script).order_independent is independent, script
 
     def test_deterministic_for_identical_request_sequences(self):
         script = ["a", "b", ScriptEntry("c", matcher="three")]
