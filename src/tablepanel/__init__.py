@@ -48,7 +48,6 @@ from .tables import (
     Table,
     TaskInstance,
     TaskKind,
-    UnmappableLabel,
     flatten_table,
     normalize_answer,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "TaskInstance",
     "TaskKind",
     "TransportError",
-    "UnmappableLabel",
     "ablation_presets",
     "alternative_panel",
     "consensus_check",

@@ -55,7 +55,7 @@ from .personas import (
     render_prompt,
     task_description_for,
 )
-from .tables import Answer, TaskInstance, TaskKind, UnmappableLabel, flatten_table
+from .tables import Answer, TaskInstance, TaskKind, flatten_table
 
 OUTCOME_UNANIMOUS_INITIAL = "UNANIMOUS_INITIAL"
 OUTCOME_CONSENSUS_ROUND = "CONSENSUS_ROUND"
@@ -137,7 +137,6 @@ class AgentState:
     complexity: Optional[Complexity] = None
     notes: Optional[AnalyticalNotes] = None
     current_solution: Optional[Answer] = None
-    rationale: str = ""
     verdict: Optional[Verdict] = None
     failed_stage: Optional[str] = None
 
@@ -284,7 +283,8 @@ class TraceRecorder:
 @dataclass(frozen=True)
 class PanelRun:
     """What every stage of one run shares. A concurrent job works on a copy
-    with its own ``recorder``; the other fields are never replaced."""
+    with its own ``recorder``; the other fields are never replaced. ``pool``
+    runs a phase's agents concurrently; without one they run in turn."""
 
     task: TaskInstance
     config: PipelineConfig
@@ -292,6 +292,7 @@ class PanelRun:
     templates: PromptLibrary
     flattened: str
     recorder: TraceRecorder = field(default_factory=TraceRecorder)
+    pool: Optional[Executor] = None
 
     def bindings(self, agent: AgentState, **extra: str) -> dict[str, str]:
         """The prompt bindings every stage shares, plus the stage's own."""
@@ -305,28 +306,31 @@ class PanelRun:
 
 
 def _run_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
-              agents: Sequence[AgentState], pool: Optional[Executor]) -> list:
+              agents: Sequence[AgentState]) -> list:
     """Run one phase's ``step(job, agent)`` for each agent, each job on a copy
     of ``run`` with its own recorder; merge their records and calls into
-    ``run.recorder`` in agent order, and return their results in that order.
-    Without a pool the jobs run in the calling thread and a GatewayError
-    stops the phase; with one, the other jobs finish first. Either way the
-    first GatewayError in agent order is then raised."""
+    ``run.recorder`` in agent order, and return their results in that order,
+    None for an agent whose step raised StageFailed. Without ``run.pool`` the
+    jobs run in the calling thread and a GatewayError stops the phase; with
+    one, the other jobs finish first. Either way the first GatewayError in
+    agent order is then raised."""
     def call(agent: AgentState) -> tuple[TraceRecorder, object, Optional[GatewayError]]:
         job = replace(run, recorder=TraceRecorder())
         try:
             return job.recorder, step(job, agent), None
+        except StageFailed:
+            return job.recorder, None, None
         except GatewayError as exc:
             return job.recorder, None, exc
 
-    if pool is None or len(agents) < 2:
+    if run.pool is None or len(agents) < 2:
         outcomes = []
         for agent in agents:
             outcomes.append(call(agent))
             if outcomes[-1][2] is not None:
                 break
     else:
-        futures = [pool.submit(call, agent) for agent in agents]
+        futures = [run.pool.submit(call, agent) for agent in agents]
         outcomes = [f.result() for f in futures]
     for own, _, _ in outcomes:
         run.recorder.merge(own)
@@ -342,44 +346,42 @@ def _notes_binding(notes: Optional[AnalyticalNotes]) -> str:
     return "\n".join(f"- {p}" for p in notes.points)
 
 
-# A verification answer that maps to no admissible label still counts as a
-# (disagreeing) vote: re-extract it under a generic kind so it normalizes
-# without label mapping and can never equal a canonical label.
-_GENERIC_KIND = TaskKind.sql_denotation()
+def _parse(stage: Stage, raw: str, kind: TaskKind) -> tuple[dict, object]:
+    """A reply's ``parsed`` record and the stage's value; raises FormatError
+    when the reply breaks the stage's output contract. An answer outside a
+    verification task's labels still counts as a (disagreeing) vote, and its
+    record is flagged ``unmapped_label``."""
+    if stage is Stage.ASSESS:
+        complexity, notes = extract_assessment(raw)
+        return {"complexity": complexity.value, "notes": list(notes.points)}, (complexity, notes)
+    if stage is Stage.VERIFY:
+        verdict = extract_verdict(raw)
+        return {"verdict": verdict.value}, verdict
+    if stage is Stage.SOLVE:
+        value = answer = extract_solution(raw, kind)
+        parsed = {}
+    elif stage is Stage.PRESENT:
+        value = answer, rationale = extract_presentation(raw, kind)
+        parsed = {"rationale": rationale}
+    else:
+        value = answer, changed = extract_deliberation(raw, kind)
+        parsed = {"changed": changed}
+    parsed["answer"] = _answer_to_json(answer)
+    if kind.label_set and answer.normalized not in kind.label_set:
+        parsed["unmapped_label"] = True
+    return parsed, value
 
 
-def _answer_extractor(extract: Callable, kind: TaskKind, fields: tuple[str, ...] = ()):
-    """An extractor for a reply that carries an answer. ``extract(raw, kind)``
-    returns the answer, or when ``fields`` is given a tuple of the answer and
-    one value per field name; the parse records each under its name."""
-    def extractor(raw: str):
-        parsed: dict = {}
-        try:
-            value = extract(raw, kind)
-        except UnmappableLabel:
-            value = extract(raw, _GENERIC_KIND)
-            parsed["unmapped_label"] = True
-        answer, *rest = value if fields else (value,)
-        parsed["answer"] = _answer_to_json(answer)
-        parsed.update(zip(fields, rest))
-        return parsed, value
-    return extractor
-
-
-def _exchange(
-    run: PanelRun,
-    agent: AgentState,
-    stage: Stage,
-    bindings: Mapping[str, str],
-    extract: Callable[[str], tuple[Optional[dict], object]],
-) -> object:
-    """Issue one stage prompt with the agent's process memory spliced in.
+def _exchange(run: PanelRun, agent: AgentState, stage: Stage, **extra: str) -> object:
+    """Issue one stage prompt, bound to ``run.bindings(agent, **extra)``, with
+    the agent's process memory spliced in, and return the reply's parsed value.
 
     Retries the identical request up to ``format_retry`` times when the reply
     violates the output contract; only the successful exchange is appended to
-    the agent's history. Raises StageFailed when retries are exhausted.
+    the agent's history. When retries are exhausted, records the stage as the
+    agent's ``failed_stage`` and raises StageFailed.
     """
-    system, user = render_prompt(run.templates[stage], bindings)
+    system, user = render_prompt(run.templates[stage], run.bindings(agent, **extra))
     last_reason = "no attempts made"
     for _ in range(run.config.format_retry + 1):
         request = ChatRequest(
@@ -390,15 +392,16 @@ def _exchange(
         run.recorder.calls += 1
         raw = run.backend.complete(request)
         try:
-            parsed_json, value = extract(raw)
+            parsed, value = _parse(stage, raw, run.task.kind)
         except FormatError as exc:
             last_reason = str(exc)
             run.recorder.add(agent.name, stage, raw, ok=False, error=last_reason)
             continue
-        run.recorder.add(agent.name, stage, raw, ok=True, parsed=parsed_json)
+        run.recorder.add(agent.name, stage, raw, ok=True, parsed=parsed)
         agent.history.append(user)
         agent.history.append(ChatMessage("assistant", raw))
         return value
+    agent.failed_stage = stage.value
     raise StageFailed(agent.name, stage, last_reason)
 
 
@@ -406,24 +409,18 @@ def investigate(run: PanelRun, agent: AgentState) -> AgentState:
     """Assess the problem (complexity plus analytical notes), then formulate
     an initial solution conditioned on that assessment. Two backend calls on
     the happy path. Raises StageFailed when a step exhausts its retries."""
-    def extract(raw: str):
-        complexity, notes = extract_assessment(raw)
-        return {"complexity": complexity.value, "notes": list(notes.points)}, (complexity, notes)
-
-    agent.complexity, agent.notes = _exchange(run, agent, Stage.ASSESS, run.bindings(agent), extract)
+    agent.complexity, agent.notes = _exchange(run, agent, Stage.ASSESS)
     return direct_solve(run, agent)
 
 
 def direct_solve(run: PanelRun, agent: AgentState) -> AgentState:
     """Answer in one solve call, conditioned on the agent's assessment when
     it has one."""
-    bindings = run.bindings(
-        agent,
+    agent.current_solution = _exchange(
+        run, agent, Stage.SOLVE,
         complexity=agent.complexity.value if agent.complexity else "not assessed",
         notes=_notes_binding(agent.notes),
     )
-    agent.current_solution = _exchange(run, agent, Stage.SOLVE, bindings,
-                                       _answer_extractor(extract_solution, run.task.kind))
     return agent
 
 
@@ -435,25 +432,17 @@ def self_review(run: PanelRun, agent: AgentState) -> AgentState:
     verdict."""
     if agent.current_solution is None:
         raise ValueError("self_review requires a current solution")
-
-    def verify_once() -> Verdict:
-        def extract(raw: str):
-            verdict = extract_verdict(raw)
-            return {"verdict": verdict.value}, verdict
-
-        bindings = run.bindings(agent, prior_solution=agent.current_solution.raw)
-        return _exchange(run, agent, Stage.VERIFY, bindings, extract)
-
+    agent.verdict = Verdict.UNCERTAIN
     try:
-        agent.verdict = verify_once()
-        iterations = 0
-        while agent.verdict is Verdict.UNCERTAIN and iterations < run.config.t_max_self:
-            investigate(run, agent)
-            agent.verdict = verify_once()
-            iterations += 1
-    except StageFailed as exc:
-        agent.verdict = Verdict.UNCERTAIN
-        agent.failed_stage = exc.stage.value
+        for refinement in range(run.config.t_max_self + 1):
+            if refinement:
+                investigate(run, agent)
+            agent.verdict = _exchange(run, agent, Stage.VERIFY,
+                                      prior_solution=agent.current_solution.raw)
+            if agent.verdict is not Verdict.UNCERTAIN:
+                break
+    except StageFailed:
+        pass
     return agent
 
 
@@ -511,18 +500,18 @@ def _format_peers(entries: Mapping[str, Answer], rationales: Mapping[str, str]) 
     return "\n".join(lines)
 
 
-def peer_review(run: PanelRun, agents: Sequence[AgentState],
-                pool: Optional[Executor] = None) -> PeerReviewResult:
+def peer_review(run: PanelRun, agents: Sequence[AgentState]) -> PeerReviewResult:
     """Ordered individual presentation, then bounded collective deliberation.
 
     Presentation order is a seed-determined shuffle; each presenter sees all
     earlier presentations and may adjust its answer. Unanimity after the
     presentations ends the run; otherwise up to ``t_max_panel`` deliberation
-    rounds run, each agent seeing the full previous round, with a consensus
-    check after each round and majority voting at the cap. An agent whose
-    presentation or deliberation fails keeps its last answer, abstains from
-    later rounds, and still counts in every consensus check and vote. A
-    round's agents run concurrently on ``pool`` when one is given.
+    rounds run, each agent seeing the full previous round, its own entry
+    included, with a consensus check after each round and majority voting at
+    the cap. An agent whose presentation or deliberation fails keeps its last
+    answer, abstains from later rounds, and still counts in every consensus
+    check and vote. A round's agents run concurrently on ``run.pool`` when
+    the run has one.
     """
     if not agents or any(a.current_solution is None for a in agents):
         raise ValueError("peer_review requires agents with solutions")
@@ -534,18 +523,12 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
     frozen: set[str] = set()
     rationales: dict[str, str] = {}
     presented: dict[str, Answer] = {}
-
-    present_extract = _answer_extractor(extract_presentation, run.task.kind, ("rationale",))
     for agent in order:
-        bindings = run.bindings(agent, prior_solution=agent.current_solution.raw,
-                                peer_solutions=_format_peers(presented, rationales))
         try:
-            answer, rationale = _exchange(run, agent, Stage.PRESENT, bindings, present_extract)
-            agent.current_solution = answer
-            agent.rationale = rationale
-            rationales[agent.name] = rationale
-        except StageFailed as exc:
-            agent.failed_stage = exc.stage.value
+            agent.current_solution, rationales[agent.name] = _exchange(
+                run, agent, Stage.PRESENT, prior_solution=agent.current_solution.raw,
+                peer_solutions=_format_peers(presented, rationales))
+        except StageFailed:
             frozen.add(agent.name)
         presented[agent.name] = agent.current_solution
 
@@ -553,28 +536,20 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
     if shared is not None:
         return PeerReviewResult(shared, OUTCOME_UNANIMOUS_INITIAL, None, presentation_order, [])
 
-    deliberate_extract = _answer_extractor(extract_deliberation, run.task.kind, ("changed",))
     rounds: list[dict[str, Answer]] = []
     current = presented
     for round_no in range(1, run.config.t_max_panel + 1):
-        previous = dict(current)
+        peers = _format_peers(current, rationales)
 
-        def deliberate(job: PanelRun, agent: AgentState) -> bool:
-            """One agent's turn in this round; True when it failed and so freezes."""
-            # Each agent sees the full previous round, its own entry included.
-            bindings = job.bindings(agent, prior_solution=agent.current_solution.raw,
-                                    peer_solutions=_format_peers(previous, rationales))
-            try:
-                agent.current_solution, _changed = _exchange(
-                    job, agent, Stage.DELIBERATE, bindings, deliberate_extract)
-            except StageFailed as exc:
-                agent.failed_stage = exc.stage.value
-                return True
-            return False
+        def deliberate(job: PanelRun, agent: AgentState) -> AgentState:
+            agent.current_solution, _changed = _exchange(
+                job, agent, Stage.DELIBERATE, prior_solution=agent.current_solution.raw,
+                peer_solutions=peers)
+            return agent
 
         active = [a for a in order if a.name not in frozen]
-        failed = _run_jobs(run, deliberate, active, pool)
-        frozen.update(a.name for a, f in zip(active, failed) if f)
+        done = _run_jobs(run, deliberate, active)
+        frozen.update(a.name for a, d in zip(active, done) if d is None)
         # A frozen agent's current solution is its answer of the previous round.
         current = {a.name: a.current_solution for a in order}
         rounds.append(current)
@@ -602,31 +577,25 @@ def run_panel(
     counts every call made, and carries the error of the first failing agent
     in agent order.
     """
-    run = PanelRun(task, config, backend, templates or PromptLibrary.default(),
-                   flatten_table(task.table, task.context))
-    trace = DeliberationTrace(task_id=task.id, config_digest=config.digest())
     agents = [AgentState(persona=p) for p in config.panel.members]
-    first_solve = investigate if StageName.INVESTIGATION in config.stages else direct_solve
-
-    def solve(job: PanelRun, agent: AgentState) -> None:
-        try:
-            first_solve(job, agent)
-        except StageFailed as exc:
-            agent.failed_stage = exc.stage.value
-
     width = min(len(agents), PANEL_WIDTH_MAX) if getattr(backend, "order_independent", False) else 1
-    pool = ThreadPoolExecutor(width, thread_name_prefix=PANEL_THREAD_PREFIX) if width > 1 else None
+    run = PanelRun(task, config, backend, templates or PromptLibrary.default(),
+                   flatten_table(task.table, task.context),
+                   pool=ThreadPoolExecutor(width, thread_name_prefix=PANEL_THREAD_PREFIX)
+                   if width > 1 else None)
+    trace = DeliberationTrace(task_id=task.id, config_digest=config.digest())
     try:
-        _run_jobs(run, solve, agents, pool)
+        _run_jobs(run, investigate if StageName.INVESTIGATION in config.stages else direct_solve,
+                  agents)
         solvers = [a for a in agents if a.current_solution is not None]
         if StageName.SELF_REVIEW in config.stages:
-            _run_jobs(run, self_review, solvers, pool)
+            _run_jobs(run, self_review, solvers)
 
         if not solvers:
             trace.complete = False
             trace.error = "no agent produced a solution"
         elif StageName.PEER_REVIEW in config.stages:
-            result = peer_review(run, solvers, pool)
+            result = peer_review(run, solvers)
             trace.presentation_order = result.presentation_order
             trace.rounds = result.rounds
             trace.outcome = result.outcome
@@ -640,8 +609,8 @@ def run_panel(
         trace.complete = False
         trace.error = f"{type(exc).__name__}: {exc}"
     finally:
-        if pool is not None:
-            pool.shutdown()
+        if run.pool is not None:
+            run.pool.shutdown()
 
     trace.records = run.recorder.records
     trace.failed_agents = [a.name for a in agents if a.failed_stage is not None]

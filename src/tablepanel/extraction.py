@@ -82,8 +82,7 @@ def extract_assessment(raw: str) -> tuple[Complexity, AnalyticalNotes]:
 
 def extract_solution(raw: str, kind: TaskKind) -> Answer:
     """The text after the last ANSWER: marker; raises FormatError if the
-    marker is absent or empty. UnmappableLabel propagates for verification
-    tasks whose answer matches no admissible label."""
+    marker is absent or empty."""
     text = _last_answer(raw)
     return Answer.from_raw(text, kind)
 

@@ -204,9 +204,6 @@ class PromptTemplate:
                 f"{self.stage.value} template has unknown placeholders: {sorted(unknown)}"
             )
 
-    def placeholders(self) -> frozenset[str]:
-        return frozenset(_PLACEHOLDER_RE.findall(self.body))
-
 
 class PromptLibrary:
     """One template per stage; defaults overridable from a directory of
@@ -236,16 +233,6 @@ class PromptLibrary:
             body = file.read_text(encoding="utf-8") if file.exists() else _DEFAULT_BODIES[stage]
             templates[stage] = PromptTemplate(stage, body)
         return cls(templates)
-
-
-def _substitute(text: str, bindings: Mapping[str, str]) -> str:
-    def repl(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in bindings:
-            raise MissingBinding(name)
-        return bindings[name]
-
-    return _PLACEHOLDER_RE.sub(repl, text)
 
 
 def persona_blurb(persona: Persona) -> str:
@@ -285,7 +272,8 @@ def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> list
         task_description=bindings["task_description"],
         output_contract=OUTPUT_CONTRACTS[template.stage],
     )
-    user = _substitute(template.body, bindings)
+    # Every placeholder a body holds is one checked above (see PromptTemplate).
+    user = _PLACEHOLDER_RE.sub(lambda m: bindings[m.group(1)], template.body)
     return [ChatMessage("system", system), ChatMessage("user", user)]
 
 

@@ -10,19 +10,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
     from .datasets import FeverousEvidence
-
-
-class UnmappableLabel(ValueError):
-    """A verification answer that matches none of the admissible labels."""
-
-    def __init__(self, raw: str, labels: Sequence[str]):
-        super().__init__(f"answer {raw!r} maps to none of {sorted(labels)}")
-        self.raw = raw
-        self.labels = tuple(labels)
 
 
 class UnknownLabel(ValueError):
@@ -248,10 +239,10 @@ def normalize_answer(raw: str, kind: TaskKind) -> str:
 
     Applies, in order: trim, lowercase, strip surrounding quotes, collapse
     whitespace, drop articles (free-form QA only), normalize numeric tokens
-    ("1,000" -> "1000", "5.0" -> "5"), and map verification labels onto the
-    task's canonical label set. Idempotent for every kind.
-
-    Raises UnmappableLabel for FACT_VERIFY_3WAY answers matching no label.
+    ("1,000" -> "1000", "5.0" -> "5"). Idempotent for every kind. A
+    verification answer normalized this way matches a canonical label in
+    any casing; one that matches none is kept as it is (callers compare it
+    against ``kind.label_set``).
     """
     text = raw.strip().lower()
     text = _strip_quotes(text)
@@ -260,8 +251,4 @@ def normalize_answer(raw: str, kind: TaskKind) -> str:
     if kind.mode is AnswerMode.QA_FREEFORM:
         tokens = [t for t in tokens if t not in _ARTICLES]
     tokens = [_normalize_numeric_token(t) for t in tokens]
-    text = " ".join(tokens)
-    if kind.mode is AnswerMode.FACT_VERIFY_3WAY:
-        if text not in kind.label_set:
-            raise UnmappableLabel(raw, kind.label_set)
-    return text
+    return " ".join(tokens)

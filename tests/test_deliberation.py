@@ -145,6 +145,10 @@ class TestDirectSolve:
         assert a.current_solution.raw == "probably true"
         assert a.current_solution.normalized == "probably true"  # not a canonical label
         assert run.recorder.calls == 1
+        assert run.recorder.records[0].parsed == {
+            "answer": {"raw": "probably true", "normalized": "probably true"},
+            "unmapped_label": True,
+        }
 
 
 class TestSelfReview:

@@ -16,7 +16,7 @@ from tablepanel.extraction import (
     extract_solution,
     extract_verdict,
 )
-from tablepanel.tables import TaskKind, UnmappableLabel
+from tablepanel.tables import TaskKind
 
 QA = TaskKind.qa()
 FACT = TaskKind.fact_verify(("entailed", "refuted", "unknown"))
@@ -81,8 +81,9 @@ class TestSolution:
             extract_solution("ANSWER:", QA)
 
     def test_unmappable_label_passes_through(self):
-        with pytest.raises(UnmappableLabel):
-            extract_solution("ANSWER: probably", FACT)
+        answer = extract_solution("ANSWER: Probably  True", FACT)
+        assert (answer.raw, answer.normalized) == ("Probably  True", "probably true")
+        assert answer.normalized not in FACT.label_set
 
     def test_label_answer_normalized(self):
         answer = extract_solution("ANSWER: REFUTED", FACT)

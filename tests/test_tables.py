@@ -10,7 +10,6 @@ from tablepanel.tables import (
     Query,
     Table,
     TaskKind,
-    UnmappableLabel,
     flatten_table,
     normalize_answer,
     parse_flattened,
@@ -123,16 +122,16 @@ class TestNormalize:
     def test_articles_kept_outside_freeform_qa(self):
         assert normalize_answer("The Hague", SQL) == "the hague"
 
-    def test_unmappable_label_raises(self):
-        with pytest.raises(UnmappableLabel):
-            normalize_answer("probably true", FACT)
+    def test_unmappable_label_is_kept(self):
+        assert normalize_answer(' "The  Claim, 1,000 Times" ', FACT) == "the claim, 1000 times"
+        assert normalize_answer("probably true", FACT) not in FACT.label_set
 
     def test_label_mapping_accepts_any_case(self):
         for raw in ("entailed", "ENTAILED", " Entailed "):
             assert normalize_answer(raw, FACT) == "entailed"
 
     @settings(max_examples=300)
-    @given(raw=st.text(max_size=40), kind=st.sampled_from([QA, SQL]))
+    @given(raw=st.text(max_size=40), kind=st.sampled_from([QA, SQL, FACT]))
     def test_idempotent(self, raw, kind):
         once = normalize_answer(raw, kind)
         assert normalize_answer(once, kind) == once
