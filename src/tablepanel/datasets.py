@@ -128,17 +128,9 @@ def fixture(kind: DatasetKind, limit: Optional[int] = None) -> Iterator[TaskInst
 def _value_to_text(value) -> str:
     if isinstance(value, list):
         return ", ".join(_value_to_text(v) for v in value)
-    if isinstance(value, float) and value == int(value):
+    if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
-
-
-def _table_from_grid(grid: list, item: int) -> Table:
-    if not isinstance(grid, list) or not grid or not isinstance(grid[0], list):
-        raise ParseError(item, "table must be a non-empty list of rows")
-    headers = tuple(str(c) for c in grid[0])
-    rows = tuple(tuple(str(c) for c in row) for row in grid[1:])
-    return Table(headers=headers, rows=rows)
 
 
 def _load_tatqa(path: Path) -> Iterator[TaskInstance]:
@@ -151,34 +143,35 @@ def _load_tatqa(path: Path) -> Iterator[TaskInstance]:
     kind = TaskKind.qa()
     for i, block in enumerate(blocks, start=1):
         try:
-            table = _table_from_grid(block["table"]["table"], i)
-            paragraphs = tuple(
-                p["text"] if isinstance(p, dict) else str(p)
-                for p in block.get("paragraphs", [])
-            )
-            questions = block["questions"]
-        except (KeyError, TypeError) as exc:
+            grid = block["table"]["table"]
+            if not isinstance(grid, list) or not grid or not isinstance(grid[0], list):
+                raise ValueError("table must be a non-empty list of rows")
+            table = Table(headers=grid[0], rows=grid[1:])
+            context = ContextPassages(tuple(
+                p["text"] if isinstance(p, dict) else p for p in block.get("paragraphs", [])
+            ))
+            questions = list(block["questions"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(i, f"malformed block: {exc}")
-        context = ContextPassages(paragraphs)
         for q in questions:
             try:
-                uid, question, answer = q["uid"], q["question"], q["answer"]
-            except (KeyError, TypeError) as exc:
+                task = TaskInstance(
+                    id=str(q["uid"]),
+                    table=table,
+                    context=context,
+                    query=Query(str(q["question"])),
+                    kind=kind,
+                    gold=Answer.from_raw(_value_to_text(q["answer"]), kind),
+                )
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(i, f"malformed question: {exc}")
-            yield TaskInstance(
-                id=str(uid),
-                table=table,
-                context=context,
-                query=Query(str(question)),
-                kind=kind,
-                gold=Answer.from_raw(_value_to_text(answer), kind),
-            )
+            yield task
 
 
-def _table_from_xml(elem: ET.Element, item: int) -> Table:
+def _table_from_xml(elem: ET.Element) -> Table:
     header = elem.find("header")
     if header is None:
-        raise ParseError(item, "table element has no <header>")
+        raise ValueError("table element has no <header>")
     headers = tuple(c.text or "" for c in header.findall("cell"))
     rows = tuple(
         tuple(c.text or "" for c in row.findall("cell"))
@@ -196,11 +189,14 @@ def _load_semtabfacts(path: Path) -> Iterator[TaskInstance]:
         raise ParseError(exc.position[0], f"invalid XML: {exc.msg if hasattr(exc, 'msg') else exc}")
     kind = TaskKind.fact_verify(SEMTABFACTS_LABELS)
     for i, table_elem in enumerate(root.findall("table"), start=1):
-        table = _table_from_xml(table_elem, i)
+        try:
+            table = _table_from_xml(table_elem)
+        except ValueError as exc:
+            raise ParseError(i, f"malformed table: {exc}")
         for stmt in table_elem.findall("statement"):
             sid = stmt.get("id")
             label = (stmt.get("label") or "").strip().lower()
-            if sid is None or stmt.text is None:
+            if sid is None or not (stmt.text or "").strip():
                 raise ParseError(i, "statement needs an id attribute and text")
             if label not in SEMTABFACTS_LABELS:
                 raise UnknownLabel(f"statement {sid}: label {label!r} not in {SEMTABFACTS_LABELS}")
@@ -233,34 +229,35 @@ def _sibling(path: Path, suffix: str) -> Path:
     return companion
 
 
+def _table_from_record(obj: dict) -> Table:
+    """The table of a ``{"header", "rows", "caption"?}`` record."""
+    return Table(headers=obj["header"], rows=obj["rows"], caption=obj.get("caption"))
+
+
 def _load_wikisql(path: Path) -> Iterator[TaskInstance]:
     tables: dict[str, Table] = {}
     for lineno, obj in _read_jsonl(_sibling(path, ".tables.jsonl")):
         try:
-            tables[str(obj["id"])] = Table(
-                headers=tuple(str(h) for h in obj["header"]),
-                rows=tuple(tuple(str(c) for c in r) for r in obj["rows"]),
-                caption=obj.get("caption"),
-            )
-        except (KeyError, TypeError) as exc:
+            tables[str(obj["id"])] = _table_from_record(obj)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(lineno, f"malformed table record: {exc}")
     kind = TaskKind.sql_denotation()
     for lineno, obj in _read_jsonl(path):
         try:
-            table = tables[str(obj["table_id"])]
-        except KeyError:
-            raise ParseError(lineno, f"unknown table_id {obj.get('table_id')!r}")
-        try:
-            yield TaskInstance(
+            table_id = str(obj["table_id"])
+            if table_id not in tables:
+                raise ValueError(f"unknown table_id {table_id!r}")
+            task = TaskInstance(
                 id=str(obj["id"]),
-                table=table,
+                table=tables[table_id],
                 context=ContextPassages(),
                 query=Query(str(obj["question"])),
                 kind=kind,
                 gold=Answer.from_raw(_value_to_text(obj["denotation"]), kind),
             )
-        except KeyError as exc:
-            raise ParseError(lineno, f"missing field: {exc}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(lineno, f"malformed record: {exc}")
+        yield task
 
 
 def _load_feverous(path: Path) -> Iterator[TaskInstance]:
@@ -273,32 +270,24 @@ def _load_feverous(path: Path) -> Iterator[TaskInstance]:
     kind = TaskKind.fact_verify(FEVEROUS_LABELS)
     for lineno, obj in _read_jsonl(path):
         try:
-            raw_label = str(obj["label"]).strip().lower()
-            label = _FEVEROUS_ALIASES.get(raw_label)
+            label = _FEVEROUS_ALIASES.get(str(obj["label"]).strip().lower())
             if label is None:
                 raise UnknownLabel(f"line {lineno}: label {obj['label']!r} not recognized")
-            table_obj = obj["table"]
-            table = Table(
-                headers=tuple(str(h) for h in table_obj["header"]),
-                rows=tuple(tuple(str(c) for c in r) for r in table_obj["rows"]),
-                caption=table_obj.get("caption"),
-            )
-            sentences = tuple(str(s) for s in obj.get("sentences", []))
-            gold_sets = tuple(frozenset(str(i) for i in s) for s in obj["gold_evidence"])
             item_id = str(obj["id"])
-        except (KeyError, TypeError) as exc:
+            if item_id not in retrieved:
+                raise ValueError(f"no retrieved evidence for id {item_id!r}")
+            task = TaskInstance(
+                id=item_id,
+                table=_table_from_record(obj["table"]),
+                context=ContextPassages(obj.get("sentences", ())),
+                query=Query(str(obj["claim"])),
+                kind=kind,
+                gold=Answer.from_raw(label, kind),
+                evidence=FeverousEvidence(retrieved_ids=retrieved[item_id],
+                                          gold_sets=obj["gold_evidence"]),
+            )
+        except UnknownLabel:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(lineno, f"malformed record: {exc}")
-        if item_id not in retrieved:
-            raise ParseError(lineno, f"no retrieved evidence for id {item_id!r}")
-        yield TaskInstance(
-            id=item_id,
-            table=table,
-            context=ContextPassages(sentences),
-            query=Query(str(obj["claim"])),
-            kind=kind,
-            gold=Answer.from_raw(label, kind),
-            evidence=FeverousEvidence(
-                retrieved_ids=frozenset(retrieved[item_id]),
-                gold_sets=gold_sets,
-            ),
-        )
+        yield task

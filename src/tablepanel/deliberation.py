@@ -29,6 +29,7 @@ import random
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import NoneType
 from typing import Callable, Mapping, Optional, Sequence
 
 from .extraction import (
@@ -106,6 +107,9 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", frozenset(StageName(s) for s in self.stages))
+        for name in ("t_max_self", "t_max_panel", "format_retry"):
+            if type(getattr(self, name)) is not int:
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.t_max_self < 1 or self.t_max_panel < 1:
             raise InvalidConfig("t_max values must be >= 1")
         if self.format_retry < 0:
@@ -145,6 +149,23 @@ class AgentState:
         return self.persona.name
 
 
+_JSON_NAMES = {str: "string", int: "integer", bool: "boolean", list: "list", dict: "object",
+               NoneType: "null"}
+_REQUIRED = object()
+
+
+def _field(data: dict, name: str, types: tuple[type, ...], default=_REQUIRED,
+           items: Optional[type] = None):
+    """``data[name]``, or ``default`` when one is given and the key is absent.
+    The value's type must be exactly one of ``types``, so that a boolean is
+    no integer, and when ``items`` is given, so must each item's be."""
+    value = data[name] if default is _REQUIRED else data.get(name, default)
+    if type(value) not in types or (items is not None and any(type(v) is not items for v in value)):
+        wanted = f"list of {_JSON_NAMES[items]}s" if items else " or ".join(_JSON_NAMES[t] for t in types)
+        raise TypeError(f"{name} must be {wanted}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StageRecord:
     """One model exchange. ``seq`` is the call index within the run, which
@@ -172,13 +193,13 @@ class StageRecord:
     @classmethod
     def from_json_dict(cls, data: dict) -> "StageRecord":
         return cls(
-            seq=data["seq"],
-            agent=data["agent"],
-            stage=data["stage"],
-            raw=data["raw"],
-            ok=data["ok"],
-            parsed=data.get("parsed"),
-            error=data.get("error"),
+            seq=_field(data, "seq", (int,)),
+            agent=_field(data, "agent", (str,)),
+            stage=_field(data, "stage", (str,)),
+            raw=_field(data, "raw", (str,)),
+            ok=_field(data, "ok", (bool,)),
+            parsed=_field(data, "parsed", (dict, NoneType), None),
+            error=_field(data, "error", (str, NoneType), None),
         )
 
 
@@ -191,7 +212,8 @@ def _answer_to_json(answer: Optional[Answer]) -> Optional[dict]:
 def _answer_from_json(data: Optional[dict]) -> Optional[Answer]:
     if data is None:
         return None
-    if not (isinstance(data["raw"], str) and isinstance(data["normalized"], str)):
+    if not (type(data) is dict and type(data.get("raw")) is str
+            and type(data.get("normalized")) is str):
         raise TypeError(f"answer {data!r} needs a string raw and normalized")
     return Answer(raw=data["raw"], normalized=data["normalized"])
 
@@ -237,24 +259,23 @@ class DeliberationTrace:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeliberationTrace":
-        if not isinstance(data.get("complete", True), bool):
-            raise TypeError(f"complete must be true or false, got {data['complete']!r}")
         return cls(
-            task_id=data["task_id"],
-            config_digest=data["config_digest"],
-            records=[StageRecord.from_json_dict(r) for r in data["records"]],
-            presentation_order=list(data["presentation_order"]),
+            task_id=_field(data, "task_id", (str,)),
+            config_digest=_field(data, "config_digest", (str,)),
+            records=[StageRecord.from_json_dict(r)
+                     for r in _field(data, "records", (list,), items=dict)],
+            presentation_order=_field(data, "presentation_order", (list,), items=str),
             rounds=[
                 {name: _answer_from_json(ans) for name, ans in rnd.items()}
-                for rnd in data["rounds"]
+                for rnd in _field(data, "rounds", (list,), items=dict)
             ],
-            outcome=data["outcome"],
-            consensus_round=data.get("consensus_round"),
+            outcome=_field(data, "outcome", (str, NoneType)),
+            consensus_round=_field(data, "consensus_round", (int, NoneType), None),
             final=_answer_from_json(data.get("final")),
-            llm_calls=data["llm_calls"],
-            failed_agents=list(data.get("failed_agents", [])),
-            complete=data.get("complete", True),
-            error=data.get("error"),
+            llm_calls=_field(data, "llm_calls", (int,)),
+            failed_agents=_field(data, "failed_agents", (list,), [], items=str),
+            complete=_field(data, "complete", (bool,), True),
+            error=_field(data, "error", (str, NoneType), None),
         )
 
 

@@ -238,11 +238,11 @@ def normalize_answer(raw: str, kind: TaskKind) -> str:
     """Reduce an answer to its canonical comparison form.
 
     Applies, in order: trim, lowercase, strip surrounding quotes, collapse
-    whitespace, drop articles (free-form QA only), normalize numeric tokens
+    whitespace, drop articles (free-form QA only), and normalize numeric tokens
     ("1,000" -> "1000", "5.0" -> "5"). Idempotent for every kind. A
-    verification answer normalized this way matches a canonical label in
-    any casing; one that matches none is kept as it is (callers compare it
-    against ``kind.label_set``).
+    verification label in any casing normalizes to its canonical form. An
+    answer outside the label set is returned normalized all the same, not
+    rejected; callers that care compare it against ``kind.label_set``.
     """
     text = raw.strip().lower()
     text = _strip_quotes(text)

@@ -331,7 +331,55 @@ def _trace(**fields) -> dict:
     return {**trace, **fields}
 
 
-# Well-formed JSON of the wrong shape, per input file: (command, file contents).
+def _scorable(**fields) -> dict:
+    """A trace line that ``score`` would score on the tatqa fixture, but for
+    ``fields``."""
+    return _trace(task_id="tatqa-01", final={"raw": "1,450", "normalized": "1450"}, **fields)
+
+
+def _record(**fields) -> dict:
+    record = {"seq": 0, "agent": "Ada", "stage": "solve", "raw": "ANSWER: 1,450", "ok": True,
+              "parsed": None, "error": None}
+    return {**record, **fields}
+
+
+def _jsonl(*records) -> str:
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def _tatqa(table: list, question: str = "What was the revenue?") -> tuple[str, dict]:
+    block = {"table": {"table": table}, "paragraphs": [],
+             "questions": [{"uid": "q1", "question": question, "answer": "1"}]}
+    return "tatqa", {"bad.json": json.dumps([block])}
+
+
+def _wikisql(header: list, rows: list, question: str = "Which year?") -> tuple[str, dict]:
+    return "wikisql", {
+        "bad.jsonl": _jsonl({"id": "w1", "question": question, "table_id": "t",
+                             "denotation": ["2019"]}),
+        "bad.tables.jsonl": _jsonl({"id": "t", "header": header, "rows": rows}),
+    }
+
+
+def _feverous(header: list, rows: list, claim: str = "It rose.") -> tuple[str, dict]:
+    record = {"id": "f1", "claim": claim, "label": "SUPPORTS",
+              "table": {"header": header, "rows": rows}, "sentences": [],
+              "gold_evidence": [["e1"]]}
+    return "feverous", {"bad.jsonl": _jsonl(record),
+                        "bad.retrieved.jsonl": _jsonl({"id": "f1", "retrieved": ["e1"]})}
+
+
+def _semtabfacts(cells: str, statement: str = "It rose.") -> tuple[str, dict]:
+    return "semtabfacts", {"bad.xml": (
+        "<corpus><table id='t'><header><cell>Year</cell></header>"
+        f"<row>{cells}</row><statement id='s1' label='entailed'>{statement}</statement>"
+        "</table></corpus>")}
+
+
+OPENAI = {"type": "openai", "base_url": "http://127.0.0.1:9/v1", "model_name": "m"}
+
+# Wrong shapes and values, per input file: (command, file contents). A
+# dataset's contents are its kind and its files, the first one the dataset.
 MALFORMED = {
     "trace-list": ("score", [1]),
     "trace-records-int": ("score", _trace(records=5)),
@@ -342,10 +390,25 @@ MALFORMED = {
     "trace-final-int": ("score", _trace(task_id="tatqa-01", final={"raw": 5, "normalized": 5})),
     "trace-complete-str": ("score", _trace(task_id="tatqa-01", complete="no",
                                            final={"raw": "1,450", "normalized": "1450"})),
+    "trace-untyped-fields": ("score", _scorable(
+        config_digest=7, records=[{"seq": "a", "agent": 1, "stage": 2, "raw": 3, "ok": "no"}],
+        presentation_order="abc", outcome=5, llm_calls="many")),
+    **{f"trace-{name}-{type(value).__name__}": ("score", _scorable(**{name: value}))
+       for name, value in (
+        ("config_digest", 7), ("records", [5]), ("presentation_order", "abc"),
+        ("presentation_order", [1]), ("rounds", [{"Ada": "1,450"}]), ("outcome", 5),
+        ("consensus_round", "1"), ("llm_calls", "many"), ("llm_calls", True),
+        ("failed_agents", "Ada"), ("failed_agents", [1]), ("error", 5))},
+    **{f"trace-record-{name}-{type(value).__name__}": (
+        "score", _scorable(records=[_record(**{name: value})]))
+       for name, value in (("seq", "a"), ("seq", False), ("agent", 1), ("stage", 2),
+                           ("raw", 3), ("ok", "no"), ("parsed", [1]), ("error", 5))},
     "config-list": ("config", [1]),
     "config-panel-int": ("config", {"panel": 5}),
     "config-t-max-str": ("config", {"preset": "full", "t_max_self": "2"}),
     "config-preset-list": ("config", {"preset": ["full"]}),
+    **{f"config-{name}-{value}": ("config", {"preset": "full", name: value})
+       for name, value in (("format_retry", 1.5), ("t_max_self", 1.5), ("t_max_panel", True))},
     "config-persona-int": ("config", {"panel": [{"name": 5, "focus": "Check"}]}),
     "backend-list": ("backend", [1]),
     "backend-url-int": ("backend", {"type": "openai", "base_url": 5, "model_name": "m"}),
@@ -362,6 +425,18 @@ MALFORMED = {
     "backend-strict-false": ("backend", {"type": "scripted", "strict": False,
                                          "script": [{"response": "hi"}]}),
     "backend-fallback": ("backend", {"type": "scripted", "fallback": "hi", "script": []}),
+    "backend-max-retries-float": ("backend", {**OPENAI, "max_retries": 1.5}),
+    "backend-temperature-negative": ("backend", {**OPENAI, "temperature": -1}),
+    "backend-temperature-str": ("backend", {**OPENAI, "temperature": "0.5"}),
+    "dataset-tatqa-row-too-long": ("dataset", _tatqa([["a", "b"], ["1", "2", "3"]])),
+    "dataset-tatqa-blank-question": ("dataset", _tatqa([["a"], ["1"]], question="   ")),
+    "dataset-tatqa-no-header": ("dataset", _tatqa([[]])),
+    "dataset-wikisql-row-too-long": ("dataset", _wikisql(["Year"], [["2019", "x"]])),
+    "dataset-wikisql-blank-question": ("dataset", _wikisql(["Year"], [["2019"]], question=" ")),
+    "dataset-feverous-row-too-long": ("dataset", _feverous(["Year"], [["2019", "x"]])),
+    "dataset-feverous-blank-claim": ("dataset", _feverous(["Year"], [["2019"]], claim=" ")),
+    "dataset-semtabfacts-row-too-long": ("dataset", _semtabfacts("<cell>1</cell><cell>2</cell>")),
+    "dataset-semtabfacts-blank-statement": ("dataset", _semtabfacts("<cell>1</cell>", " ")),
 }
 
 
@@ -369,13 +444,17 @@ MALFORMED = {
 def test_malformed_input_file_exits_1_without_traceback(tmp_path, case):
     command, content = MALFORMED[case]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(content) + "\n", encoding="utf-8")
+    kind, files = content if command == "dataset" else ("tatqa", {"bad.json": json.dumps(content)})
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n", encoding="utf-8")
     good_backend = script_file(tmp_path / "good.json", unanimity_items())
     argv = {
         "score": ["score", str(bad), "tatqa", "fixture"],
         "config": ["bench", "tatqa", "fixture", "--limit", "1", "--config", str(bad),
                    "--backend", good_backend, "--out", str(tmp_path / "out")],
         "backend": ["bench", "tatqa", "fixture", "--limit", "1", "--backend", str(bad),
+                    "--out", str(tmp_path / "out")],
+        "dataset": ["bench", kind, str(tmp_path / next(iter(files))), "--backend", good_backend,
                     "--out", str(tmp_path / "out")],
     }[command]
     src = str(Path(tablepanel.__file__).resolve().parent.parent)

@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+import tablepanel.deliberation as deliberation
 from tablepanel.deliberation import (
     PANEL_THREAD_PREFIX,
     PANEL_WIDTH_MAX,
@@ -455,6 +456,30 @@ class TestRunPanel:
         assert trace.outcome == OUTCOME_UNANIMOUS_INITIAL
         assert len(trace.presentation_order) == 4
         assert "Albert Einstein" not in trace.presentation_order
+
+    @pytest.mark.parametrize("stage", list(Stage))
+    def test_format_failure_names_the_agent_and_its_stage(self, qa_task, monkeypatch, stage):
+        created = []
+
+        class RecordedAgent(AgentState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        def policy(persona, at, turn, repeat):
+            if (persona, at) == ("Marie Curie", stage):
+                return "garbage"
+            return adversarial_policy(persona, at, turn, repeat)
+
+        monkeypatch.setattr(deliberation, "AgentState", RecordedAgent)
+        trace = run_panel(qa_task, ablation_presets(seed=3)["full"], PolicyBackend(policy))
+        assert trace.complete
+        assert {a.name: a.failed_stage for a in created if a.failed_stage} == {
+            "Marie Curie": stage.value}
+        assert trace.failed_agents == ["Marie Curie"]
+        # A failed investigation excludes the agent; later failures keep it on the panel.
+        assert ("Marie Curie" in trace.presentation_order) is (
+            stage not in (Stage.ASSESS, Stage.SOLVE))
 
     def test_all_agents_failing_marks_incomplete(self, qa_task):
         config = ablation_presets()["vanilla"]
