@@ -107,7 +107,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", frozenset(StageName(s) for s in self.stages))
-        for name in ("t_max_self", "t_max_panel", "format_retry"):
+        for name in ("t_max_self", "t_max_panel", "ordering_seed", "format_retry"):
             if type(getattr(self, name)) is not int:
                 raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.t_max_self < 1 or self.t_max_panel < 1:
@@ -149,21 +149,24 @@ class AgentState:
         return self.persona.name
 
 
-_JSON_NAMES = {str: "string", int: "integer", bool: "boolean", list: "list", dict: "object",
-               NoneType: "null"}
-_REQUIRED = object()
+# The JSON types each field of a trace line may take; a boolean is no integer.
+_RECORD_TYPES = {"seq": (int,), "agent": (str,), "stage": (str,), "raw": (str,), "ok": (bool,),
+                 "parsed": (dict, NoneType), "error": (str, NoneType)}
+_TRACE_TYPES = {"task_id": (str,), "config_digest": (str,), "records": (list,),
+                "presentation_order": (list,), "rounds": (list,), "outcome": (str, NoneType),
+                "consensus_round": (int, NoneType), "llm_calls": (int,), "failed_agents": (list,),
+                "complete": (bool,), "error": (str, NoneType)}
+_JSON_NAMES = {str: "a string", int: "an integer", bool: "true or false", list: "a list",
+               dict: "an object", NoneType: "null"}
 
 
-def _field(data: dict, name: str, types: tuple[type, ...], default=_REQUIRED,
-           items: Optional[type] = None):
-    """``data[name]``, or ``default`` when one is given and the key is absent.
-    The value's type must be exactly one of ``types``, so that a boolean is
-    no integer, and when ``items`` is given, so must each item's be."""
-    value = data[name] if default is _REQUIRED else data.get(name, default)
-    if type(value) not in types or (items is not None and any(type(v) is not items for v in value)):
-        wanted = f"list of {_JSON_NAMES[items]}s" if items else " or ".join(_JSON_NAMES[t] for t in types)
-        raise TypeError(f"{name} must be {wanted}, got {value!r}")
-    return value
+def _check_types(data: dict, types: Mapping[str, tuple[type, ...]]) -> None:
+    """Raise TypeError unless every field of ``types`` that ``data`` holds has
+    exactly one of the field's types."""
+    for name, allowed in types.items():
+        if name in data and type(data[name]) not in allowed:
+            wanted = " or ".join(_JSON_NAMES[t] for t in allowed)
+            raise TypeError(f"{name} must be {wanted}, got {data[name]!r}")
 
 
 @dataclass(frozen=True)
@@ -192,14 +195,15 @@ class StageRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StageRecord":
+        _check_types(data, _RECORD_TYPES)
         return cls(
-            seq=_field(data, "seq", (int,)),
-            agent=_field(data, "agent", (str,)),
-            stage=_field(data, "stage", (str,)),
-            raw=_field(data, "raw", (str,)),
-            ok=_field(data, "ok", (bool,)),
-            parsed=_field(data, "parsed", (dict, NoneType), None),
-            error=_field(data, "error", (str, NoneType), None),
+            seq=data["seq"],
+            agent=data["agent"],
+            stage=data["stage"],
+            raw=data["raw"],
+            ok=data["ok"],
+            parsed=data.get("parsed"),
+            error=data.get("error"),
         )
 
 
@@ -259,23 +263,26 @@ class DeliberationTrace:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeliberationTrace":
+        _check_types(data, _TRACE_TYPES)
+        for name in ("presentation_order", "failed_agents"):
+            if not all(type(v) is str for v in data.get(name, ())):
+                raise TypeError(f"{name} must be a list of strings, got {data[name]!r}")
         return cls(
-            task_id=_field(data, "task_id", (str,)),
-            config_digest=_field(data, "config_digest", (str,)),
-            records=[StageRecord.from_json_dict(r)
-                     for r in _field(data, "records", (list,), items=dict)],
-            presentation_order=_field(data, "presentation_order", (list,), items=str),
+            task_id=data["task_id"],
+            config_digest=data["config_digest"],
+            records=[StageRecord.from_json_dict(r) for r in data["records"]],
+            presentation_order=list(data["presentation_order"]),
             rounds=[
                 {name: _answer_from_json(ans) for name, ans in rnd.items()}
-                for rnd in _field(data, "rounds", (list,), items=dict)
+                for rnd in data["rounds"]
             ],
-            outcome=_field(data, "outcome", (str, NoneType)),
-            consensus_round=_field(data, "consensus_round", (int, NoneType), None),
+            outcome=data["outcome"],
+            consensus_round=data.get("consensus_round"),
             final=_answer_from_json(data.get("final")),
-            llm_calls=_field(data, "llm_calls", (int,)),
-            failed_agents=_field(data, "failed_agents", (list,), [], items=str),
-            complete=_field(data, "complete", (bool,), True),
-            error=_field(data, "error", (str, NoneType), None),
+            llm_calls=data["llm_calls"],
+            failed_agents=list(data.get("failed_agents", [])),
+            complete=data.get("complete", True),
+            error=data.get("error"),
         )
 
 
@@ -599,6 +606,7 @@ def run_panel(
     in agent order.
     """
     agents = [AgentState(persona=p) for p in config.panel.members]
+    first_solve = investigate if StageName.INVESTIGATION in config.stages else direct_solve
     width = min(len(agents), PANEL_WIDTH_MAX) if getattr(backend, "order_independent", False) else 1
     run = PanelRun(task, config, backend, templates or PromptLibrary.default(),
                    flatten_table(task.table, task.context),
@@ -606,8 +614,7 @@ def run_panel(
                    if width > 1 else None)
     trace = DeliberationTrace(task_id=task.id, config_digest=config.digest())
     try:
-        _run_jobs(run, investigate if StageName.INVESTIGATION in config.stages else direct_solve,
-                  agents)
+        _run_jobs(run, first_solve, agents)
         solvers = [a for a in agents if a.current_solution is not None]
         if StageName.SELF_REVIEW in config.stages:
             _run_jobs(run, self_review, solvers)

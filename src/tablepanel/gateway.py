@@ -99,13 +99,19 @@ class BackendConfig:
     retry_backoff_base: float = 0.5
 
     def __post_init__(self) -> None:
-        if type(self.temperature) not in (int, float) or not self.temperature >= 0:
-            raise ValueError(f"temperature must be a number >= 0, got {self.temperature!r}")
-        if self.request_timeout <= 0:
+        for name in ("base_url", "model_name", "api_key_env_var"):
+            if type(getattr(self, name)) is not str:
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("temperature", "request_timeout", "retry_backoff_base"):
+            if type(getattr(self, name)) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not self.temperature >= 0:
+            raise ValueError("temperature must be >= 0")
+        if not self.request_timeout > 0:
             raise ValueError("request_timeout must be > 0")
         if type(self.max_retries) is not int or not 0 <= self.max_retries <= 10:
             raise ValueError(f"max_retries must be an integer in [0, 10], got {self.max_retries!r}")
-        if self.retry_backoff_base < 0:
+        if not self.retry_backoff_base >= 0:
             raise ValueError("retry_backoff_base must be >= 0")
 
 

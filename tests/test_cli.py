@@ -408,7 +408,8 @@ MALFORMED = {
     "config-t-max-str": ("config", {"preset": "full", "t_max_self": "2"}),
     "config-preset-list": ("config", {"preset": ["full"]}),
     **{f"config-{name}-{value}": ("config", {"preset": "full", name: value})
-       for name, value in (("format_retry", 1.5), ("t_max_self", 1.5), ("t_max_panel", True))},
+       for name, value in (("format_retry", 1.5), ("t_max_self", 1.5), ("t_max_panel", True),
+                           ("ordering_seed", None), ("ordering_seed", [1]))},
     "config-persona-int": ("config", {"panel": [{"name": 5, "focus": "Check"}]}),
     "backend-list": ("backend", [1]),
     "backend-url-int": ("backend", {"type": "openai", "base_url": 5, "model_name": "m"}),
@@ -427,7 +428,9 @@ MALFORMED = {
     "backend-fallback": ("backend", {"type": "scripted", "fallback": "hi", "script": []}),
     "backend-max-retries-float": ("backend", {**OPENAI, "max_retries": 1.5}),
     "backend-temperature-negative": ("backend", {**OPENAI, "temperature": -1}),
-    "backend-temperature-str": ("backend", {**OPENAI, "temperature": "0.5"}),
+    **{f"backend-{name}-{value}": ("backend", {**OPENAI, name: value}) for name, value in (
+        ("temperature", "0.5"), ("model_name", 5), ("api_key_env_var", 5),
+        ("request_timeout", True), ("retry_backoff_base", "0.5"))},
     "dataset-tatqa-row-too-long": ("dataset", _tatqa([["a", "b"], ["1", "2", "3"]])),
     "dataset-tatqa-blank-question": ("dataset", _tatqa([["a"], ["1"]], question="   ")),
     "dataset-tatqa-no-header": ("dataset", _tatqa([[]])),

@@ -106,6 +106,14 @@ class TestLoaderErrors:
         with pytest.raises(ParseError):
             list(load(DatasetKind.SEMTABFACTS, doc))
 
+    def test_tatqa_non_finite_answer_loads_as_text(self, tmp_path):
+        doc = tmp_path / "t.json"
+        questions = [{"uid": f"q{i}", "question": "How much?", "answer": value}
+                     for i, value in enumerate((float("inf"), float("nan"), 5.0))]
+        doc.write_text(json.dumps([{"table": {"table": [["a"], ["1"]]}, "questions": questions}]),
+                       encoding="utf-8")
+        assert [t.gold.raw for t in load(DatasetKind.TATQA, doc)] == ["inf", "nan", "5"]
+
     def test_tatqa_top_level_must_be_array(self, tmp_path):
         doc = tmp_path / "t.json"
         doc.write_text('{"not": "a list"}', encoding="utf-8")
