@@ -206,7 +206,9 @@ def _run_tasks(
 ) -> list[DeliberationTrace]:
     # Tasks run ``jobs`` at a time; each run_panel may fan its agents out over
     # up to PANEL_WIDTH_MAX threads of its own (see deliberation).
-    if jobs <= 1:
+    if jobs < 1:
+        raise CliError("--jobs must be >= 1", 1)
+    if jobs == 1:
         return [run_panel(task, config, backend, templates) for task in tasks]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(run_panel, task, config, backend, templates) for task in tasks]

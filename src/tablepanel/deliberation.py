@@ -14,9 +14,11 @@ Agents never read each other during investigation, self-review or any one
 deliberation round. When the backend declares that a reply depends on its
 request alone (``order_independent``), those phases run their agents' jobs
 concurrently on one thread pool per run, at most ``PANEL_WIDTH_MAX`` threads
-wide. Presentations stay sequential in the shuffled order, because each
-presenter sees the earlier ones. Every job works on a copy of the run with its
-own recorder, whose records are merged back in agent order, so a trace is
+wide. Presentations run one after another in the shuffled order, because each
+presenter sees the earlier ones, but a presenter waits only for its own
+self-review, not for the whole panel's. Every job, and the presentation chain,
+works on a copy of the run with its own recorder; the self-review records are
+merged back in agent order and the presentations after them, so a trace is
 byte-identical to that of a sequential run. Distinct runs may also execute
 concurrently against one shared backend.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import NoneType
@@ -61,6 +63,9 @@ from .tables import Answer, TaskInstance, TaskKind, flatten_table
 OUTCOME_UNANIMOUS_INITIAL = "UNANIMOUS_INITIAL"
 OUTCOME_CONSENSUS_ROUND = "CONSENSUS_ROUND"
 OUTCOME_MAJORITY_VOTE = "MAJORITY_VOTE"
+# What a trace line's ``outcome`` may hold: an incomplete run has none.
+_OUTCOMES = frozenset({OUTCOME_UNANIMOUS_INITIAL, OUTCOME_CONSENSUS_ROUND, OUTCOME_MAJORITY_VOTE,
+                       None})
 
 # Most agents' calls one run has in flight at once, so a process running
 # ``jobs`` panels concurrently holds at most ``jobs * PANEL_WIDTH_MAX`` panel
@@ -158,6 +163,7 @@ _TRACE_TYPES = {"task_id": (str,), "config_digest": (str,), "records": (list,),
                 "complete": (bool,), "error": (str, NoneType)}
 _JSON_NAMES = {str: "a string", int: "an integer", bool: "true or false", list: "a list",
                dict: "an object", NoneType: "null"}
+_STAGES = frozenset(s.value for s in Stage)
 
 
 def _check_types(data: dict, types: Mapping[str, tuple[type, ...]]) -> None:
@@ -196,6 +202,8 @@ class StageRecord:
     @classmethod
     def from_json_dict(cls, data: dict) -> "StageRecord":
         _check_types(data, _RECORD_TYPES)
+        if data["stage"] not in _STAGES:
+            raise ValueError(f"stage must be one of {sorted(_STAGES)}, got {data['stage']!r}")
         return cls(
             seq=data["seq"],
             agent=data["agent"],
@@ -267,6 +275,9 @@ class DeliberationTrace:
         for name in ("presentation_order", "failed_agents"):
             if not all(type(v) is str for v in data.get(name, ())):
                 raise TypeError(f"{name} must be a list of strings, got {data[name]!r}")
+        if data["outcome"] not in _OUTCOMES:
+            raise ValueError(f"outcome must be one of {sorted(_OUTCOMES - {None})} or null, "
+                             f"got {data['outcome']!r}")
         return cls(
             task_id=data["task_id"],
             config_digest=data["config_digest"],
@@ -333,15 +344,15 @@ class PanelRun:
         }
 
 
-def _run_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
-              agents: Sequence[AgentState]) -> list:
-    """Run one phase's ``step(job, agent)`` for each agent, each job on a copy
-    of ``run`` with its own recorder; merge their records and calls into
-    ``run.recorder`` in agent order, and return their results in that order,
-    None for an agent whose step raised StageFailed. Without ``run.pool`` the
-    jobs run in the calling thread and a GatewayError stops the phase; with
-    one, the other jobs finish first. Either way the first GatewayError in
-    agent order is then raised."""
+def _start_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
+                agents: Sequence[AgentState]) -> list[Future]:
+    """Start one phase's ``step(job, agent)`` for each agent, each job on a copy
+    of ``run`` with its own recorder, and return one future per agent, in
+    agent order, for ``_finish_jobs``. Each future holds the job's recorder,
+    its result (None when the step raised StageFailed) and the GatewayError
+    it raised, if any. With ``run.pool`` the jobs run there; without one they
+    run now in the calling thread, and a GatewayError ends the phase at once:
+    the records so far are merged into ``run.recorder`` and the error raised."""
     def call(agent: AgentState) -> tuple[TraceRecorder, object, Optional[GatewayError]]:
         job = replace(run, recorder=TraceRecorder())
         try:
@@ -351,21 +362,35 @@ def _run_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
         except GatewayError as exc:
             return job.recorder, None, exc
 
-    if run.pool is None or len(agents) < 2:
-        outcomes = []
-        for agent in agents:
-            outcomes.append(call(agent))
-            if outcomes[-1][2] is not None:
-                break
-    else:
-        futures = [run.pool.submit(call, agent) for agent in agents]
-        outcomes = [f.result() for f in futures]
+    if run.pool is not None and len(agents) > 1:
+        return [run.pool.submit(call, agent) for agent in agents]
+    jobs = []
+    for agent in agents:
+        outcome = call(agent)
+        jobs.append(Future())
+        jobs[-1].set_result(outcome)
+        if outcome[2] is not None:
+            _finish_jobs(run, jobs)
+    return jobs
+
+
+def _finish_jobs(run: PanelRun, jobs: Sequence[Future]) -> list:
+    """Wait for every job of a phase, merge their records and calls into
+    ``run.recorder`` in agent order, then raise the first GatewayError in
+    agent order, or return the jobs' results in that order."""
+    outcomes = [job.result() for job in jobs]
     for own, _, _ in outcomes:
         run.recorder.merge(own)
     for _, _, error in outcomes:
         if error is not None:
             raise error
     return [result for _, result, _ in outcomes]
+
+
+def _run_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
+              agents: Sequence[AgentState]) -> list:
+    """Run one phase to its end: ``_start_jobs``, then ``_finish_jobs``."""
+    return _finish_jobs(run, _start_jobs(run, step, agents))
 
 
 def _notes_binding(notes: Optional[AnalyticalNotes]) -> str:
@@ -528,7 +553,8 @@ def _format_peers(entries: Mapping[str, Answer], rationales: Mapping[str, str]) 
     return "\n".join(lines)
 
 
-def peer_review(run: PanelRun, agents: Sequence[AgentState]) -> PeerReviewResult:
+def peer_review(run: PanelRun, agents: Sequence[AgentState],
+                reviews: Sequence[Future] = ()) -> PeerReviewResult:
     """Ordered individual presentation, then bounded collective deliberation.
 
     Presentation order is a seed-determined shuffle; each presenter sees all
@@ -540,6 +566,13 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState]) -> PeerReviewResult
     answer, abstains from later rounds, and still counts in every consensus
     check and vote. A round's agents run concurrently on ``run.pool`` when
     the run has one.
+
+    ``reviews`` are the agents' self-review jobs from ``_start_jobs``, one
+    per agent in ``agents`` order, possibly still running. Each presenter
+    waits for its own review alone. The chain stops before the first
+    presenter whose review raised a GatewayError; the review records are
+    then merged in agent order, the presentations made after them, and the
+    first review error in agent order is raised.
     """
     if not agents or any(a.current_solution is None for a in agents):
         raise ValueError("peer_review requires agents with solutions")
@@ -548,17 +581,27 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState]) -> PeerReviewResult
     rng.shuffle(order)
     presentation_order = [a.name for a in order]
 
+    review_of = dict(zip((a.name for a in agents), reviews))
+    presenting = replace(run, recorder=TraceRecorder())
     frozen: set[str] = set()
     rationales: dict[str, str] = {}
     presented: dict[str, Answer] = {}
-    for agent in order:
+    try:
+        for agent in order:
+            if agent.name in review_of and review_of[agent.name].result()[2] is not None:
+                break
+            try:
+                agent.current_solution, rationales[agent.name] = _exchange(
+                    presenting, agent, Stage.PRESENT, prior_solution=agent.current_solution.raw,
+                    peer_solutions=_format_peers(presented, rationales))
+            except StageFailed:
+                frozen.add(agent.name)
+            presented[agent.name] = agent.current_solution
+    finally:
         try:
-            agent.current_solution, rationales[agent.name] = _exchange(
-                run, agent, Stage.PRESENT, prior_solution=agent.current_solution.raw,
-                peer_solutions=_format_peers(presented, rationales))
-        except StageFailed:
-            frozen.add(agent.name)
-        presented[agent.name] = agent.current_solution
+            _finish_jobs(run, reviews)
+        finally:
+            run.recorder.merge(presenting.recorder)
 
     shared = consensus_check(presented)
     if shared is not None:
@@ -603,11 +646,19 @@ def run_panel(
     phase but the presentations run concurrently, and a transport error lets
     the phase's other agents finish first: the trace keeps every record and
     counts every call made, and carries the error of the first failing agent
-    in agent order.
+    in agent order. The presentations then start while the self-reviews still
+    run, each presenter once its own review is done; a failed review stops
+    the chain before its agent presents, and the presentations already made
+    stay in the trace after every review record. Without fan-out a failed
+    review ends the run before any presentation.
     """
     agents = [AgentState(persona=p) for p in config.panel.members]
     first_solve = investigate if StageName.INVESTIGATION in config.stages else direct_solve
-    width = min(len(agents), PANEL_WIDTH_MAX) if getattr(backend, "order_independent", False) else 1
+    width = 1
+    if getattr(backend, "order_independent", False):
+        # Past the cap the pool keeps one thread fewer: the presentation chain
+        # makes its calls from this thread while queued self-reviews run.
+        width = len(agents) if len(agents) <= PANEL_WIDTH_MAX else PANEL_WIDTH_MAX - 1
     run = PanelRun(task, config, backend, templates or PromptLibrary.default(),
                    flatten_table(task.table, task.context),
                    pool=ThreadPoolExecutor(width, thread_name_prefix=PANEL_THREAD_PREFIX)
@@ -616,20 +667,21 @@ def run_panel(
     try:
         _run_jobs(run, first_solve, agents)
         solvers = [a for a in agents if a.current_solution is not None]
-        if StageName.SELF_REVIEW in config.stages:
-            _run_jobs(run, self_review, solvers)
+        reviews = (_start_jobs(run, self_review, solvers)
+                   if StageName.SELF_REVIEW in config.stages else [])
 
         if not solvers:
             trace.complete = False
             trace.error = "no agent produced a solution"
         elif StageName.PEER_REVIEW in config.stages:
-            result = peer_review(run, solvers)
+            result = peer_review(run, solvers, reviews)
             trace.presentation_order = result.presentation_order
             trace.rounds = result.rounds
             trace.outcome = result.outcome
             trace.consensus_round = result.consensus_round
             trace.final = result.final
         else:
+            _finish_jobs(run, reviews)
             # A lone answer is trivially unanimous.
             trace.outcome = OUTCOME_UNANIMOUS_INITIAL
             trace.final = solvers[0].current_solution

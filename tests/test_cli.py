@@ -390,6 +390,8 @@ MALFORMED = {
     "trace-final-int": ("score", _trace(task_id="tatqa-01", final={"raw": 5, "normalized": 5})),
     "trace-complete-str": ("score", _trace(task_id="tatqa-01", complete="no",
                                            final={"raw": "1,450", "normalized": "1450"})),
+    "trace-stage-unknown": ("score", _scorable(records=[_record(stage="reflect")])),
+    "trace-outcome-unknown": ("score", _scorable(outcome="UNANIMOUS")),
     "trace-untyped-fields": ("score", _scorable(
         config_digest=7, records=[{"seq": "a", "agent": 1, "stage": 2, "raw": 3, "ok": "no"}],
         presentation_order="abc", outcome=5, llm_calls="many")),
@@ -443,6 +445,16 @@ MALFORMED = {
 }
 
 
+def _assert_exits_1_without_traceback(argv: list[str]) -> None:
+    src = str(Path(tablepanel.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-m", "tablepanel.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error: "), result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_input_file_exits_1_without_traceback(tmp_path, case):
     command, content = MALFORMED[case]
@@ -460,10 +472,13 @@ def test_malformed_input_file_exits_1_without_traceback(tmp_path, case):
         "dataset": ["bench", kind, str(tmp_path / next(iter(files))), "--backend", good_backend,
                     "--out", str(tmp_path / "out")],
     }[command]
-    src = str(Path(tablepanel.__file__).resolve().parent.parent)
-    result = subprocess.run([sys.executable, "-m", "tablepanel.cli", *argv],
-                            env={**os.environ, "PYTHONPATH": src},
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 1, result.stderr
-    assert result.stderr.startswith("error: "), result.stderr
-    assert "Traceback" not in result.stderr
+    _assert_exits_1_without_traceback(argv)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["bench", "ablate"])
+def test_non_positive_jobs_exits_1_without_traceback(tmp_path, command, jobs):
+    backend = script_file(tmp_path / "good.json", unanimity_items())
+    _assert_exits_1_without_traceback([command, "tatqa", "fixture", "--limit", "1", "--jobs", jobs,
+                                       "--backend", backend, "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()

@@ -534,8 +534,8 @@ class PolicyBackend:
     """An order-independent backend for tests. Its reply is a function of the
     persona, the stage contract, the agent's own history length (its turn)
     and how often that same request arrived before, which only the agent's
-    own format re-asks can repeat. It records one (start, end) span and the
-    thread name of every call."""
+    own format re-asks can repeat. It records one (start, end) span, its
+    stage and the thread name of every call."""
 
     model_name = "policy"
     temperature = 0.0
@@ -545,6 +545,7 @@ class PolicyBackend:
         self.order_independent = order_independent
         self.delay = delay
         self.spans: list[tuple[float, float]] = []
+        self.stages: list[Stage] = []  # the stage of each span
         self.threads: set[str] = set()
         self._arrivals: Counter = Counter()
         self._lock = threading.Lock()
@@ -565,6 +566,10 @@ class PolicyBackend:
         finally:
             with self._lock:
                 self.spans.append((start, time.perf_counter()))
+                self.stages.append(stage)
+
+    def spans_of(self, stage: Stage) -> list[tuple[float, float]]:
+        return [span for span, s in zip(self.spans, self.stages) if s is stage]
 
 
 def unanimous_policy(persona, stage, turn, repeat) -> str:
@@ -661,6 +666,74 @@ class TestConcurrentPanel:
         assert trace.llm_calls == len(backend.spans) == 50
         # 2 investigation + 4 self-review + 5 presentations + 3 rounds
         assert critical_path(backend.spans) == 14
+
+    # With seed 3 the panel presents as Einstein, Curie, Turing, Tesla, Newton.
+    LATE = ("Nikola Tesla", "Isaac Newton")
+
+    def test_presenters_wait_only_for_their_own_self_review(self, qa_task):
+        def policy(persona, stage, turn, repeat):
+            if stage is Stage.VERIFY and persona in self.LATE and turn == 2:
+                return "VERDICT: uncertain"  # re-investigate, then validate
+            return unanimous_policy(persona, stage, turn, repeat)
+
+        backend = PolicyBackend(policy, delay=lambda persona: self.CALL_S)
+        trace = run_panel(qa_task, ablation_presets(seed=3)["full"], backend)
+        assert trace.presentation_order[-2:] == list(self.LATE)
+        assert trace.outcome == OUTCOME_UNANIMOUS_INITIAL
+        assert trace.llm_calls == len(backend.spans) == 20 + 2 * 3
+        # The doubters' four review calls overlap the first three
+        # presentations: assess, solve, verify, three presentations, then
+        # the doubters' two, against 2 + 4 + 5 behind a self-review barrier.
+        assert critical_path(backend.spans) == 8 < 2 + 4 + 5
+        last_verify_end = max(end for _, end in backend.spans_of(Stage.VERIFY))
+        assert min(start for start, _ in backend.spans_of(Stage.PRESENT)) < last_verify_end
+        sequential = run_panel(qa_task, ablation_presets(seed=3)["full"],
+                               PolicyBackend(policy, order_independent=False))
+        assert trace.to_json_line() == sequential.to_json_line()
+
+    @staticmethod
+    def failing_review_policy(persona, stage, turn, repeat):
+        """Newton's verification fails late, Tesla's at once: Newton comes
+        first in agent order, Tesla first in presentation order."""
+        if stage is Stage.VERIFY and persona == "Isaac Newton":
+            time.sleep(0.03)
+            raise TransportError("newton unreachable")
+        if stage is Stage.VERIFY and persona == "Nikola Tesla":
+            raise TransportError("tesla unreachable")
+        return unanimous_policy(persona, stage, turn, repeat)
+
+    def test_failed_self_review_stops_the_chain_before_its_presenter(self, qa_task):
+        config = ablation_presets(seed=3)["full"]
+        agents = [p.name for p in config.panel.members]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            lines = set()
+            for _ in range(20):
+                backend = PolicyBackend(self.failing_review_policy,
+                                        delay=lambda persona: (1 + len(persona) % 3) * 0.002)
+                trace = run_panel(qa_task, config, backend)
+                lines.add(trace.to_json_line())
+                assert trace.llm_calls == len(backend.spans) == 10 + 5 + 3
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert len(lines) == 1
+        assert not trace.complete and trace.final is None
+        assert trace.error == "TransportError: newton unreachable"
+        reviewed = [a for a in agents if a not in self.LATE]
+        assert [(r.agent, r.stage) for r in trace.records[10:]] == (
+            [(a, "verify") for a in reviewed]
+            + [(a, "present") for a in ("Albert Einstein", "Marie Curie", "Alan Turing")])
+        assert [r.seq for r in trace.records] == list(range(len(trace.records)))
+        assert panel_threads() == []
+
+    def test_failed_self_review_without_fan_out_makes_no_presentation(self, qa_task):
+        backend = PolicyBackend(self.failing_review_policy, order_independent=False)
+        trace = run_panel(qa_task, ablation_presets(seed=3)["full"], backend)
+        assert trace.error == "TransportError: newton unreachable"
+        assert Stage.PRESENT not in backend.stages
+        assert [(r.agent, r.stage) for r in trace.records[10:]] == [("Albert Einstein", "verify")]
+        assert trace.llm_calls == len(backend.spans) == 10 + 2
 
     def test_unlimited_script_fans_out_with_the_sequential_trace(self, qa_task):
         calls = []
