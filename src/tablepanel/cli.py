@@ -182,6 +182,8 @@ def _read_table_file(path: str) -> tuple[Table, ContextPassages]:
 
 
 def _load_tasks(kind: DatasetKind, path: str, limit: Optional[int]) -> list[TaskInstance]:
+    if limit is not None and limit < 1:
+        raise CliError("--limit must be >= 1", 1)
     source = fixture_path(kind) if path == "fixture" else Path(path)
     if not source.exists():
         raise CliError(f"dataset file not found: {source}", 1)

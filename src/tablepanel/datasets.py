@@ -24,6 +24,7 @@ File formats (also documented in the README):
 
 from __future__ import annotations
 
+import itertools
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -101,11 +102,7 @@ def load(kind: DatasetKind, path: str | Path, limit: Optional[int] = None) -> It
         DatasetKind.WIKISQL: _load_wikisql,
         DatasetKind.FEVEROUS: _load_feverous,
     }
-    stream = loaders[kind](Path(path))
-    for i, instance in enumerate(stream):
-        if limit is not None and i >= limit:
-            return
-        yield instance
+    return itertools.islice(loaders[kind](Path(path)), limit)
 
 
 _FIXTURE_FILES = {

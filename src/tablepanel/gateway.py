@@ -1,9 +1,10 @@
 """Chat-completion backends behind one interface.
 
 Two implementations: a live OpenAI-compatible HTTP backend (keep-alive
-connections over the standard library's ``http.client``; retries with
-exponential backoff on 429/5xx/transport errors) and a deterministic
-scripted backend for tests. Both are safe to share across threads.
+HTTP/1.1 connections, opened by the standard library's ``http.client`` and
+spoken on directly; retries with exponential backoff on 429/5xx/transport
+errors) and a deterministic scripted backend for tests. Both are safe to
+share across threads.
 
 A script entry answers ``repeat`` matching calls in arrival order, or every
 matching call when ``repeat`` is None; a script of such unlimited entries is
@@ -14,9 +15,12 @@ from __future__ import annotations
 
 import base64
 import http.client
+import io
 import json
 import os
 import random
+import re
+import socket
 import ssl
 import threading
 import time
@@ -29,6 +33,12 @@ from . import __version__
 
 _ROLES = ("system", "user", "assistant")
 _USER_AGENT = f"tablepanel/{__version__}"
+_MAX_LINE = 65536  # bytes in a status, header or chunk-size line, as in http.client
+_MAX_HEADERS = 100  # lines in a reply's header block, its blank line included, as in http.client
+_UNSAFE_IN_URL = re.compile(r"[\x00-\x20\x7f]")
+_UNSAFE_IN_KEY = re.compile(rb"[\x00-\x1f\x7f]")
+_TOKEN = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_HEX = re.compile(rb"[0-9A-Fa-f]+")
 
 
 class GatewayError(Exception):
@@ -129,11 +139,91 @@ def _retry_after_s(value: Optional[str]) -> Optional[float]:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
+def _read_line(reader: io.BufferedReader, what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_exactly(reader: io.BufferedReader, n: int) -> bytes:
+    data = reader.read(n)
+    if len(data) < n:
+        raise http.client.IncompleteRead(data, n - len(data))
+    return data
+
+
+def _read_fields(reader: io.BufferedReader) -> dict[str, str]:
+    """A header (or trailer) block up to its blank line, by lower-cased
+    name; repeated fields are joined with ", "."""
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS):
+        line = _read_line(reader, "header line")
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if not line:
+            raise http.client.HTTPException("reply ended inside its header block")
+        key, colon, value = line.partition(b":")
+        if not colon or not _TOKEN.fullmatch(key):
+            raise http.client.HTTPException(f"malformed header line {line[:100]!r}")
+        name, text = key.decode("ascii").lower(), value.strip().decode("latin-1")
+        fields[name] = f"{fields[name]}, {text}" if name in fields else text
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_reply(reader: io.BufferedReader) -> tuple[int, dict[str, str], bytes, bool]:
+    """The next final reply on a connection: its status, headers (by
+    lower-cased name), body, and whether the connection may carry another
+    request. Interim 1xx replies are skipped. Raises ``RemoteDisconnected``
+    (a ``ConnectionError``) when the connection closed before any reply, and
+    another ``http.client.HTTPException`` when the reply is malformed or
+    cut short."""
+    while True:
+        line = _read_line(reader, "status line")
+        if not line:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        parts = line.split(None, 2)
+        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/1.") or len(parts[1]) != 3
+                or not parts[1].isdigit() or parts[1] < b"100"):
+            raise http.client.BadStatusLine(repr(line))
+        status = int(parts[1])
+        headers = _read_fields(reader)
+        if status >= 200:
+            break
+    tokens = {t.strip() for t in headers.get("connection", "").lower().split(",")}
+    keep_alive = "keep-alive" in tokens if parts[0] == b"HTTP/1.0" else "close" not in tokens
+    if status in (204, 304):
+        return status, headers, b"", keep_alive
+    if headers.get("transfer-encoding", "").lower() == "chunked":
+        chunks = []
+        while True:
+            size = _read_line(reader, "chunk size").split(b";", 1)[0].strip()
+            if not _HEX.fullmatch(size):
+                raise http.client.IncompleteRead(b"".join(chunks))
+            if (n := int(size, 16)) == 0:
+                break
+            chunks.append(_read_exactly(reader, n))
+            if _read_line(reader, "chunk end") not in (b"\r\n", b"\n"):
+                raise http.client.HTTPException("chunk longer than its size")
+        _read_fields(reader)  # the trailer
+        return status, headers, b"".join(chunks), keep_alive
+    length = headers.get("content-length")
+    if length is None:  # the body ends when the server closes the connection
+        return status, headers, reader.read(), False
+    if not (length.isascii() and length.isdigit()):
+        raise http.client.HTTPException(f"bad Content-Length {length!r}")
+    return status, headers, _read_exactly(reader, int(length)), keep_alive
+
+
 class _ConnectionPool:
     """Persistent HTTP/1.1 connections to one endpoint, each used by one
     thread at a time. A caller takes an idle connection or opens a new one and
     gives it back once the response is read in full, so the pool never holds
     more connections than there were callers in flight at once.
+
+    ``http.client`` opens each connection (the socket, TLS, and a proxy's
+    CONNECT tunnel); the pool then writes each request in one ``sendall``
+    and reads the replies through one buffered reader per connection.
 
     The proxy is read from ``HTTP(S)_PROXY``/``NO_PROXY`` once, here. An
     ``https`` endpoint verifies certificates and host names against the
@@ -152,6 +242,9 @@ class _ConnectionPool:
         self._tunnel: Optional[tuple[str, int]] = None
         self._proxy_headers: dict[str, str] = {}
         self.target = url.path.rstrip("/") + "/chat/completions"
+        head = {"Host": netloc if netloc.isascii() else netloc.encode("idna").decode("ascii"),
+                "Accept-Encoding": "identity", "Content-Type": "application/json",
+                "User-Agent": _USER_AGENT}
         proxy = urllib.request.getproxies().get(url.scheme)
         if proxy and not urllib.request.proxy_bypass(netloc):
             proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
@@ -168,11 +261,19 @@ class _ConnectionPool:
             else:
                 # A forward proxy takes the absolute URL as the request target.
                 self.target = f"http://{netloc}{self.target}"
-        self._idle: list[http.client.HTTPConnection] = []
+                head.update(self._proxy_headers)
+        if (not self.target.isascii() or _UNSAFE_IN_URL.search(self.target)
+                or _UNSAFE_IN_URL.search(head["Host"])):
+            raise ValueError(f"base_url must be ASCII without spaces or control characters, "
+                             f"got {base_url!r}")
+        # Every request's head but its Content-Length and per-call headers.
+        self._head = "".join([f"POST {self.target} HTTP/1.1\r\n",
+                              *(f"{k}: {v}\r\n" for k, v in head.items())]).encode("ascii")
+        self._idle: list[tuple[socket.socket, io.BufferedReader]] = []
         self._lock = threading.Lock()
 
     def _connect(self) -> http.client.HTTPConnection:
-        """A new, not yet connected, connection (the socket opens on first use)."""
+        """A new connection, not yet connected (``_open`` connects it)."""
         if self._context is None:
             return http.client.HTTPConnection(*self._address, timeout=self._timeout)
         conn = http.client.HTTPSConnection(*self._address, timeout=self._timeout,
@@ -181,46 +282,59 @@ class _ConnectionPool:
             conn.set_tunnel(*self._tunnel, headers=self._proxy_headers)
         return conn
 
-    def post(self, body: bytes, headers: dict[str, str]) -> tuple[http.client.HTTPResponse, bytes]:
-        """POST ``body`` to the endpoint; returns the response and its body.
-        Raises ``OSError`` or ``http.client.HTTPException`` on transport
-        failures."""
-        if self._proxy_headers and self._tunnel is None:
-            headers = {**headers, **self._proxy_headers}
-        with self._lock:
-            conn = self._idle.pop() if self._idle else None
-        reused = conn is not None
-        if conn is None:
-            conn = self._connect()
+    def _open(self) -> tuple[socket.socket, io.BufferedReader]:
+        """A connected socket and the one reader that reads its replies."""
+        conn = self._connect()
         try:
-            try:
-                conn.request("POST", self.target, body, headers)
-                resp = conn.getresponse()
-            except ConnectionError:
-                if not reused:
-                    raise
-                # The server closed this connection while it sat idle, so the
-                # request never reached it: send it once more on a new one.
-                conn.close()
-                conn = self._connect()
-                conn.request("POST", self.target, body, headers)
-                resp = conn.getresponse()
-            data = resp.read()
+            conn.connect()
         except BaseException:
             conn.close()
             raise
-        if resp.will_close:
-            conn.close()
-        else:
+        return conn.sock, conn.sock.makefile("rb")
+
+    @staticmethod
+    def _close(sock: socket.socket, reader: io.BufferedReader) -> None:
+        reader.close()
+        sock.close()
+
+    def post(self, body: bytes, headers: bytes) -> tuple[int, dict[str, str], bytes]:
+        """POST ``body`` to the endpoint with ``headers`` (encoded
+        ``Name: value\\r\\n`` lines) added; returns the reply's status, its
+        headers by lower-cased name, and its body. Raises ``OSError`` or
+        ``http.client.HTTPException`` on transport failures."""
+        request = b"".join((self._head, b"Content-Length: %d\r\n" % len(body), headers,
+                            b"\r\n", body))
+        with self._lock:
+            idle = self._idle.pop() if self._idle else None
+        sock, reader = idle or self._open()
+        try:
+            try:
+                sock.sendall(request)
+                status, reply_headers, data, keep_alive = _read_reply(reader)
+            except ConnectionError:
+                if idle is None:
+                    raise
+                # The server closed this connection while it sat idle, so the
+                # request never reached it: send it once more on a new one.
+                self._close(sock, reader)
+                sock, reader = self._open()
+                sock.sendall(request)
+                status, reply_headers, data, keep_alive = _read_reply(reader)
+        except BaseException:
+            self._close(sock, reader)
+            raise
+        if keep_alive:
             with self._lock:
-                self._idle.append(conn)
-        return resp, data
+                self._idle.append((sock, reader))
+        else:
+            self._close(sock, reader)
+        return status, reply_headers, data
 
     def close(self) -> None:
         with self._lock:
             idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        for sock, reader in idle:
+            self._close(sock, reader)
 
 
 class OpenAIChatBackend:
@@ -250,22 +364,27 @@ class OpenAIChatBackend:
         """Close the idle connections; a later call opens new ones."""
         self._pool.close()
 
-    def _api_key(self) -> Optional[str]:
+    def _api_key(self) -> Optional[bytes]:
         # An empty env var name opts out of auth (local endpoints).
-        if not self.config.api_key_env_var:
+        name = self.config.api_key_env_var
+        if not name:
             return None
-        key = os.environ.get(self.config.api_key_env_var, "")
+        key = os.environ.get(name, "")
         if not key:
-            raise MissingApiKey(
-                f"environment variable {self.config.api_key_env_var} is not set"
-            )
-        return key
+            raise MissingApiKey(f"environment variable {name} is not set")
+        try:
+            token = key.encode("latin-1")
+        except UnicodeEncodeError:
+            token = None
+        if token is None or _UNSAFE_IN_KEY.search(token):
+            # Such a key would break the header it goes in; the message never shows it.
+            raise MissingApiKey(f"environment variable {name} holds a control character "
+                                f"or a character outside Latin-1")
+        return token
 
     def complete(self, request: ChatRequest) -> str:
-        headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
         key = self._api_key()
-        if key is not None:
-            headers["Authorization"] = f"Bearer {key}"
+        headers = b"" if key is None else b"Authorization: Bearer %s\r\n" % key
         body = json.dumps({
             "model": request.model_name,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
@@ -277,17 +396,17 @@ class OpenAIChatBackend:
         for attempt in range(attempts):
             retry_after = None
             try:
-                resp, data = self._pool.post(body, headers)
+                status, reply_headers, data = self._pool.post(body, headers)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = TransportError(str(exc) or type(exc).__name__)
             else:
-                if 200 <= resp.status < 300:
-                    return self._parse_body(resp.status, data)
-                last_error = ApiError(resp.status, data.decode("utf-8", "replace"))
-                if resp.status != 429 and not 500 <= resp.status < 600:
+                if 200 <= status < 300:
+                    return self._parse_body(status, data)
+                last_error = ApiError(status, data.decode("utf-8", "replace"))
+                if status != 429 and not 500 <= status < 600:
                     raise last_error
-                if resp.status in (429, 503):
-                    retry_after = _retry_after_s(resp.getheader("Retry-After"))
+                if status in (429, 503):
+                    retry_after = _retry_after_s(reply_headers.get("retry-after"))
             if attempt < attempts - 1:
                 self._sleep(attempt, retry_after)
         assert last_error is not None

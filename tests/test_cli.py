@@ -143,6 +143,18 @@ class TestBench:
         assert manifest["totals"]["tasks"] == 3
         assert manifest["totals"]["llm_calls"] == 3  # vanilla: one call per task
 
+    def test_limit_reads_no_task_past_it(self, tmp_path, capsys):
+        good = {"table": {"table": [["Year"], ["2019"]]}, "paragraphs": [],
+                "questions": [{"uid": "q1", "question": "Which year?", "answer": "2019"}]}
+        bad = {**good, "table": {"table": [["Year"], ["2019", "x", "y"]]}}
+        data = tmp_path / "two.json"
+        data.write_text(json.dumps([good, bad]), encoding="utf-8")
+        backend = script_file(tmp_path / "b.json", unanimity_items("2019"))
+        out = tmp_path / "limited"
+        assert main(["bench", "tatqa", str(data), "--config", "vanilla", "--backend", backend,
+                     "--limit", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["totals"]["tasks"] == 1
+
     def test_t_max_override_caps_rounds(self, tmp_path, capsys):
         backend = script_file(tmp_path / "b.json", disagreeing_items())
         out = tmp_path / "capped"
@@ -433,6 +445,8 @@ MALFORMED = {
     **{f"backend-{name}-{value}": ("backend", {**OPENAI, name: value}) for name, value in (
         ("temperature", "0.5"), ("model_name", 5), ("api_key_env_var", 5),
         ("request_timeout", True), ("retry_backoff_base", "0.5"))},
+    **{f"limit-{command}-{value}": ("limit", (command, value))
+       for command in ("bench", "ablate", "score") for value in ("0", "-1")},
     "dataset-tatqa-row-too-long": ("dataset", _tatqa([["a", "b"], ["1", "2", "3"]])),
     "dataset-tatqa-blank-question": ("dataset", _tatqa([["a"], ["1"]], question="   ")),
     "dataset-tatqa-no-header": ("dataset", _tatqa([[]])),
@@ -445,7 +459,7 @@ MALFORMED = {
 }
 
 
-def _assert_exits_1_without_traceback(argv: list[str]) -> None:
+def _assert_exits_1_without_traceback(argv: list[str]) -> str:
     src = str(Path(tablepanel.__file__).resolve().parent.parent)
     result = subprocess.run([sys.executable, "-m", "tablepanel.cli", *argv],
                             env={**os.environ, "PYTHONPATH": src},
@@ -453,6 +467,7 @@ def _assert_exits_1_without_traceback(argv: list[str]) -> None:
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith("error: "), result.stderr
     assert "Traceback" not in result.stderr
+    return result.stderr
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
@@ -463,6 +478,12 @@ def test_malformed_input_file_exits_1_without_traceback(tmp_path, case):
     for name, text in files.items():
         (tmp_path / name).write_text(text + "\n", encoding="utf-8")
     good_backend = script_file(tmp_path / "good.json", unanimity_items())
+    if command == "limit":  # content: (the command, its --limit)
+        name, limit = content
+        argv = ["score", str(bad)] if name == "score" else [name, "--backend", good_backend]
+        argv += ["tatqa", "fixture", "--limit", limit]
+        assert _assert_exits_1_without_traceback(argv) == "error: --limit must be >= 1\n"
+        return
     argv = {
         "score": ["score", str(bad), "tatqa", "fixture"],
         "config": ["bench", "tatqa", "fixture", "--limit", "1", "--config", str(bad),

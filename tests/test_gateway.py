@@ -214,6 +214,41 @@ class _StallingHandler(_KeepAliveHandler):
         return None
 
 
+_OK_BLOB = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+_HALF = len(_OK_BLOB) // 2
+
+
+class _RawReplyHandler(_KeepAliveHandler):
+    """Records the request, then writes ``reply`` verbatim: reply forms the
+    standard library's server never produces. Closes the connection after
+    it unless ``keep_open``."""
+
+    reply = b""
+    keep_open = True
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        with self.lock:
+            type(self).seen.append(json.loads(body))
+        self.wfile.write(self.reply)
+        self.close_connection = not self.keep_open
+
+
+_RAW_REPLIES = {
+    # (reply bytes, connection kept open by the server, connections for 3 calls)
+    "chunked-extension-trailer": (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"%x;name=value\r\n%s\r\n" % (_HALF, _OK_BLOB[:_HALF])
+        + b"%X\r\n%s\r\n" % (len(_OK_BLOB) - _HALF, _OK_BLOB[_HALF:])
+        + b"0\r\nX-Checksum: none\r\n\r\n", True, 1),
+    "http-1.0-body-to-close": (
+        b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _OK_BLOB, False, 3),
+    "100-continue-first": (
+        b"HTTP/1.1 100 Continue\r\n\r\n"
+        + b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_OK_BLOB), _OK_BLOB), True, 1),
+}
+
+
 _PANEL_REPLIES = {
     Stage.ASSESS: "COMPLEXITY: basic\nNOTES:\n- direct lookup",
     Stage.SOLVE: "ANSWER: 42",
@@ -355,10 +390,16 @@ class TestOpenAIChatBackend:
             backend.complete(req())
 
     def test_missing_api_key_raises(self, stub_server, monkeypatch):
-        monkeypatch.delenv("PANEL_API_KEY", raising=False)
         backend = live_backend(stub_server)
-        with pytest.raises(MissingApiKey):
-            backend.complete(req())
+        for key in (None, "abc\r\nX-Evil: 1", "abc\x7f"):  # a key that would break the header
+            if key is None:
+                monkeypatch.delenv("PANEL_API_KEY", raising=False)
+            else:
+                monkeypatch.setenv("PANEL_API_KEY", key)
+            with pytest.raises(MissingApiKey, match="PANEL_API_KEY") as err:
+                backend.complete(req())
+            assert "abc" not in str(err.value)
+        assert _StubHandler.seen == []
 
     def test_empty_env_var_name_sends_no_auth_header(self, stub_server):
         config = BackendConfig(base_url=stub_server, model_name="m", api_key_env_var="",
@@ -385,20 +426,26 @@ def keepalive_backend(base_url: str, retries: int = 0, timeout: float = 5.0) -> 
 
 
 class TestRetryAfter:
-    @pytest.mark.parametrize("status,header,expected", [
-        (429, "2", 2.0),
-        (503, "2", 2.0),
-        (429, "30", 5.0),  # capped at request_timeout
-        (429, "0", None),  # never shorter than the backoff
-        (429, "soon", None),
-        (429, "Wed, 21 Oct 2026 07:28:00 GMT", None),  # HTTP-date form: not honoured
-        (429, None, None),
-        (500, "2", None),  # only 429 and 503 carry it
-    ])
-    def test_sleep_honours_delta_seconds(self, stub_server, monkeypatch, status, header, expected):
+    _CASES = [
+        (429, "Retry-After", "2", 2.0),
+        (503, "Retry-After", "2", 2.0),
+        (503, "retry-after", "2", 2.0),  # header names are case-insensitive
+        (429, "Retry-After", "30", 5.0),  # capped at request_timeout
+        (429, "Retry-After", "0", None),  # never shorter than the backoff
+        (429, "Retry-After", "soon", None),
+        (429, "Retry-After", "Wed, 21 Oct 2026 07:28:00 GMT", None),  # HTTP-date form: not honoured
+        (429, "Retry-After", None, None),
+        (500, "Retry-After", "2", None),  # only 429 and 503 carry it
+    ]
+
+    @pytest.mark.parametrize("status,name,header,expected", _CASES, ids=[
+        "-".join(map(str, (s, h, e) if n == "Retry-After" else (s, n, h, e)))
+        for s, n, h, e in _CASES])
+    def test_sleep_honours_delta_seconds(self, stub_server, monkeypatch, status, name, header,
+                                         expected):
         slept = []
         monkeypatch.setattr(gateway.time, "sleep", slept.append)
-        headers = {} if header is None else {"Retry-After": header}
+        headers = {} if header is None else {name: header}
         _StubHandler.plan = [(status, {}, headers), (200, None)]
         with closing(keepalive_backend(stub_server, retries=1)) as backend:
             assert backend.complete(req()) == "ok"
@@ -466,6 +513,36 @@ class TestTransport:
         assert len(_StubHandler.seen) == 3
         assert _StubHandler.counts["opened"] == 3
 
+    @pytest.mark.parametrize("form", list(_RAW_REPLIES))
+    def test_reply_framings(self, serve, monkeypatch, form):
+        reply, keep_open, connections = _RAW_REPLIES[form]
+        monkeypatch.setattr(_RawReplyHandler, "reply", reply)
+        monkeypatch.setattr(_RawReplyHandler, "keep_open", keep_open)
+        with closing(keepalive_backend(serve(_RawReplyHandler))) as backend:
+            for _ in range(3):
+                assert backend.complete(req()) == "ok"
+        assert len(_StubHandler.seen) == 3
+        assert _StubHandler.counts["opened"] == connections
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_OK_BLOB), _OK_BLOB[:_HALF]),
+        b"HTTP/1.1 OK\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nNo colon here\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\n" + b"X-Filler: 1\r\n" * 100 + b"Content-Length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n" + _OK_BLOB,
+        b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n",
+    ], ids=["short-body", "bad-status-line", "malformed-header", "101-header-lines",
+            "header-line-too-long", "bad-chunk-size", "cut-in-headers"])
+    def test_broken_reply_is_a_transport_error_and_pools_nothing(self, serve, monkeypatch, reply):
+        monkeypatch.setattr(_RawReplyHandler, "reply", reply)
+        monkeypatch.setattr(_RawReplyHandler, "keep_open", False)
+        with closing(keepalive_backend(serve(_RawReplyHandler), retries=2)) as backend:
+            with pytest.raises(TransportError):
+                backend.complete(req())
+            assert backend._pool._idle == []
+        assert len(_StubHandler.seen) == 3  # 1 + max_retries attempts
+
     def test_connection_dropped_while_idle_costs_no_http_retry(self, serve, monkeypatch):
         monkeypatch.setattr(gateway.time, "sleep", lambda s: pytest.fail("backoff sleep"))
         # No retries allowed: each call after the first finds its pooled
@@ -521,8 +598,11 @@ class TestTransport:
             backend.close()
 
     def test_bad_base_url_is_rejected_at_build(self):
-        with pytest.raises(ValueError):
-            keepalive_backend("api.example.test/v1")
+        for url in ("api.example.test/v1", "http://127.0.0.1:8000/v 1",
+                    "http://127.0.0.1:8000/v1\x00", "http://127.0.0.1:8000/v1\x7f",
+                    "http://api.example test/v1"):
+            with pytest.raises(ValueError):
+                keepalive_backend(url)
 
 
 class _ForwardProxy(BaseHTTPRequestHandler):
