@@ -26,12 +26,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .tables import (
     Answer,
@@ -42,6 +40,9 @@ from .tables import (
     TaskKind,
     UnknownLabel,
 )
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 
 class DatasetKind(str, Enum):
@@ -114,7 +115,7 @@ _FIXTURE_FILES = {
 
 
 def fixture_path(kind: DatasetKind) -> Path:
-    return Path(str(resources.files("tablepanel") / "fixtures" / _FIXTURE_FILES[kind]))
+    return Path(__file__).resolve().parent / "fixtures" / _FIXTURE_FILES[kind]
 
 
 def fixture(kind: DatasetKind, limit: Optional[int] = None) -> Iterator[TaskInstance]:
@@ -180,6 +181,8 @@ def _table_from_xml(elem: ET.Element) -> Table:
 
 
 def _load_semtabfacts(path: Path) -> Iterator[TaskInstance]:
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as exc:

@@ -1,10 +1,11 @@
 """Chat-completion backends behind one interface.
 
 Two implementations: a live OpenAI-compatible HTTP backend (keep-alive
-HTTP/1.1 connections, opened by the standard library's ``http.client`` and
-spoken on directly; retries with exponential backoff on 429/5xx/transport
-errors) and a deterministic scripted backend for tests. Both are safe to
-share across threads.
+HTTP/1.1 connections on plain sockets, TLS from ``ssl`` for ``https``, a
+proxy from the ``*_proxy`` environment variables; retries with exponential
+backoff on 429/5xx/transport errors) and a deterministic scripted backend
+for tests. Both are safe to share across threads. ``ssl`` is imported only
+when an ``https`` backend is built.
 
 A script entry answers ``repeat`` matching calls in arrival order, or every
 matching call when ``repeat`` is None; a script of such unlimited entries is
@@ -14,18 +15,15 @@ a pure function of the request, so its runs fan out like the HTTP backend's.
 from __future__ import annotations
 
 import base64
-import http.client
 import io
 import json
 import os
 import random
 import re
 import socket
-import ssl
 import threading
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol, Union
 
@@ -35,6 +33,7 @@ _ROLES = ("system", "user", "assistant")
 _USER_AGENT = f"tablepanel/{__version__}"
 _MAX_LINE = 65536  # bytes in a status, header or chunk-size line, as in http.client
 _MAX_HEADERS = 100  # lines in a reply's header block, its blank line included, as in http.client
+_PORT = re.compile(r"(.*):([0-9]*)", re.S)
 _UNSAFE_IN_URL = re.compile(r"[\x00-\x20\x7f]")
 _UNSAFE_IN_KEY = re.compile(rb"[\x00-\x1f\x7f]")
 _TOKEN = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
@@ -64,6 +63,10 @@ class MissingApiKey(GatewayError):
 
 class ScriptExhausted(GatewayError):
     """No script entry with calls left matched the request."""
+
+
+class _BadReply(Exception):
+    """A reply that breaks HTTP/1.1 framing or is cut short."""
 
 
 @dataclass(frozen=True)
@@ -142,14 +145,14 @@ def _retry_after_s(value: Optional[str]) -> Optional[float]:
 def _read_line(reader: io.BufferedReader, what: str) -> bytes:
     line = reader.readline(_MAX_LINE + 1)
     if len(line) > _MAX_LINE:
-        raise http.client.LineTooLong(what)
+        raise _BadReply(f"{what} longer than {_MAX_LINE} bytes")
     return line
 
 
 def _read_exactly(reader: io.BufferedReader, n: int) -> bytes:
     data = reader.read(n)
     if len(data) < n:
-        raise http.client.IncompleteRead(data, n - len(data))
+        raise _BadReply(f"reply cut short: {len(data)} of {n} bytes read")
     return data
 
 
@@ -162,36 +165,41 @@ def _read_fields(reader: io.BufferedReader) -> dict[str, str]:
         if line in (b"\r\n", b"\n"):
             return fields
         if not line:
-            raise http.client.HTTPException("reply ended inside its header block")
+            raise _BadReply("reply ended inside its header block")
         key, colon, value = line.partition(b":")
         if not colon or not _TOKEN.fullmatch(key):
-            raise http.client.HTTPException(f"malformed header line {line[:100]!r}")
+            raise _BadReply(f"malformed header line {line[:100]!r}")
         name, text = key.decode("ascii").lower(), value.strip().decode("latin-1")
         fields[name] = f"{fields[name]}, {text}" if name in fields else text
-    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+    raise _BadReply(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_status(reader: io.BufferedReader) -> tuple[bytes, int, str]:
+    """A status line's version, status and reason. Raises ``ConnectionError``
+    when the connection closed before it."""
+    line = _read_line(reader, "status line")
+    if not line:
+        raise ConnectionError("the server closed the connection without a reply")
+    parts = line.split(None, 2)
+    if (len(parts) < 2 or not parts[0].startswith(b"HTTP/1.") or len(parts[1]) != 3
+            or not parts[1].isdigit() or parts[1] < b"100"):
+        raise _BadReply(f"bad status line {line[:100]!r}")
+    return parts[0], int(parts[1]), parts[2].strip().decode("latin-1") if len(parts) > 2 else ""
 
 
 def _read_reply(reader: io.BufferedReader) -> tuple[int, dict[str, str], bytes, bool]:
     """The next final reply on a connection: its status, headers (by
     lower-cased name), body, and whether the connection may carry another
-    request. Interim 1xx replies are skipped. Raises ``RemoteDisconnected``
-    (a ``ConnectionError``) when the connection closed before any reply, and
-    another ``http.client.HTTPException`` when the reply is malformed or
-    cut short."""
+    request. Interim 1xx replies are skipped. Raises ``ConnectionError``
+    when the connection closed before any reply, and ``_BadReply`` when the
+    reply is malformed or cut short."""
     while True:
-        line = _read_line(reader, "status line")
-        if not line:
-            raise http.client.RemoteDisconnected("Remote end closed connection without response")
-        parts = line.split(None, 2)
-        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/1.") or len(parts[1]) != 3
-                or not parts[1].isdigit() or parts[1] < b"100"):
-            raise http.client.BadStatusLine(repr(line))
-        status = int(parts[1])
+        version, status, _ = _read_status(reader)
         headers = _read_fields(reader)
         if status >= 200:
             break
     tokens = {t.strip() for t in headers.get("connection", "").lower().split(",")}
-    keep_alive = "keep-alive" in tokens if parts[0] == b"HTTP/1.0" else "close" not in tokens
+    keep_alive = "keep-alive" in tokens if version == b"HTTP/1.0" else "close" not in tokens
     if status in (204, 304):
         return status, headers, b"", keep_alive
     if headers.get("transfer-encoding", "").lower() == "chunked":
@@ -199,20 +207,72 @@ def _read_reply(reader: io.BufferedReader) -> tuple[int, dict[str, str], bytes, 
         while True:
             size = _read_line(reader, "chunk size").split(b";", 1)[0].strip()
             if not _HEX.fullmatch(size):
-                raise http.client.IncompleteRead(b"".join(chunks))
+                raise _BadReply(f"bad chunk size {size[:100]!r}")
             if (n := int(size, 16)) == 0:
                 break
             chunks.append(_read_exactly(reader, n))
             if _read_line(reader, "chunk end") not in (b"\r\n", b"\n"):
-                raise http.client.HTTPException("chunk longer than its size")
+                raise _BadReply("chunk longer than its size")
         _read_fields(reader)  # the trailer
         return status, headers, b"".join(chunks), keep_alive
     length = headers.get("content-length")
     if length is None:  # the body ends when the server closes the connection
         return status, headers, reader.read(), False
     if not (length.isascii() and length.isdigit()):
-        raise http.client.HTTPException(f"bad Content-Length {length!r}")
+        raise _BadReply(f"bad Content-Length {length!r}")
     return status, headers, _read_exactly(reader, int(length)), keep_alive
+
+
+def _ascii_host(netloc: str) -> str:
+    """``host[:port]`` with a non-ASCII host in its IDNA form."""
+    return netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")
+
+
+def _head(start_line: str, fields: dict[str, str]) -> bytes:
+    """A request's start line and header lines, without the closing blank line."""
+    lines = [f"{start_line}\r\n", *(f"{k}: {v}\r\n" for k, v in fields.items())]
+    return "".join(lines).encode("ascii")
+
+
+def _environment_proxies() -> dict[str, str]:
+    """Proxy URLs by scheme from the ``<scheme>_proxy`` variables (``no``
+    holds ``NO_PROXY``), read as ``urllib.request.getproxies_environment``
+    reads them: a name in any case, a lower-case ``_proxy`` name winning (an
+    empty one unsets its scheme), and ``HTTP_PROXY`` ignored when
+    ``REQUEST_METHOD`` is set, since a CGI server may have set it from a
+    client's ``Proxy`` header."""
+    proxies: dict[str, str] = {}
+    for name, value in os.environ.items():
+        if value and (name := name.lower())[-6:] == "_proxy":
+            proxies[name[:-6]] = value
+    if "REQUEST_METHOD" in os.environ:
+        proxies.pop("http", None)
+    for name, value in os.environ.items():
+        if name[-6:] == "_proxy":
+            if value:
+                proxies[name.lower()[:-6]] = value
+            else:
+                proxies.pop(name.lower()[:-6], None)
+    return proxies
+
+
+def _bypasses_proxy(netloc: str, no_proxy: Optional[str]) -> bool:
+    """Whether ``NO_PROXY`` exempts ``host[:port]``, as
+    ``urllib.request.proxy_bypass_environment`` decides: ``*`` exempts every
+    host, and each comma-separated name, a leading dot ignored, matches
+    itself and its subdomains, with or without the port."""
+    if no_proxy is None:
+        return False
+    if no_proxy == "*":
+        return True
+    host = netloc.lower()
+    hostonly = match.group(1) if (match := _PORT.fullmatch(host)) else host
+    for name in no_proxy.split(","):
+        if name := name.strip():
+            name = name.lstrip(".").lower()
+            if name in (hostonly, host) or any(h.endswith("." + name) for h in (hostonly, host)):
+                return True
+    return False
 
 
 class _ConnectionPool:
@@ -221,13 +281,14 @@ class _ConnectionPool:
     gives it back once the response is read in full, so the pool never holds
     more connections than there were callers in flight at once.
 
-    ``http.client`` opens each connection (the socket, TLS, and a proxy's
-    CONNECT tunnel); the pool then writes each request in one ``sendall``
-    and reads the replies through one buffered reader per connection.
+    Each connection is a plain socket, wrapped in TLS for an ``https``
+    endpoint; the pool writes each request in one ``sendall`` and reads the
+    replies through one buffered reader per connection.
 
     The proxy is read from ``HTTP(S)_PROXY``/``NO_PROXY`` once, here. An
     ``https`` endpoint verifies certificates and host names against the
-    system trust store, and goes through a proxy by CONNECT.
+    system trust store, and goes through a proxy by an HTTP/1.1 CONNECT
+    whose target is the host's IDNA form.
     """
 
     def __init__(self, base_url: str, timeout: float):
@@ -237,16 +298,21 @@ class _ConnectionPool:
         host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
         netloc = url.netloc.rpartition("@")[2]
         self._timeout = timeout
-        self._context = ssl.create_default_context() if url.scheme == "https" else None
+        self._context = None
+        if url.scheme == "https":
+            import ssl
+
+            self._context = ssl.create_default_context()
         self._address = (host, port)
-        self._tunnel: Optional[tuple[str, int]] = None
-        self._proxy_headers: dict[str, str] = {}
+        self._tls_host = host
+        self._tunnel: Optional[bytes] = None  # the CONNECT request's head
+        proxy_headers: dict[str, str] = {}
         self.target = url.path.rstrip("/") + "/chat/completions"
-        head = {"Host": netloc if netloc.isascii() else netloc.encode("idna").decode("ascii"),
-                "Accept-Encoding": "identity", "Content-Type": "application/json",
-                "User-Agent": _USER_AGENT}
-        proxy = urllib.request.getproxies().get(url.scheme)
-        if proxy and not urllib.request.proxy_bypass(netloc):
+        head = {"Host": _ascii_host(netloc), "Accept-Encoding": "identity",
+                "Content-Type": "application/json", "User-Agent": _USER_AGENT}
+        proxies = _environment_proxies()
+        proxy = proxies.get(url.scheme)
+        if proxy and not _bypasses_proxy(netloc, proxies.get("no")):
             proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
             if not proxy_url.hostname:
                 raise ValueError(f"cannot parse the {url.scheme} proxy {proxy!r}")
@@ -255,42 +321,43 @@ class _ConnectionPool:
                 user = urllib.parse.unquote(proxy_url.username)
                 password = urllib.parse.unquote(proxy_url.password or "")
                 token = base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
-                self._proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
             if self._context is not None:
-                self._tunnel = (host, port)
+                authority = _ascii_host(f"[{host}]:{port}" if ":" in host else f"{host}:{port}")
+                self._tunnel = _head(f"CONNECT {authority} HTTP/1.1",
+                                     {"Host": authority, **proxy_headers}) + b"\r\n"
             else:
                 # A forward proxy takes the absolute URL as the request target.
                 self.target = f"http://{netloc}{self.target}"
-                head.update(self._proxy_headers)
+                head.update(proxy_headers)
         if (not self.target.isascii() or _UNSAFE_IN_URL.search(self.target)
                 or _UNSAFE_IN_URL.search(head["Host"])):
             raise ValueError(f"base_url must be ASCII without spaces or control characters, "
                              f"got {base_url!r}")
         # Every request's head but its Content-Length and per-call headers.
-        self._head = "".join([f"POST {self.target} HTTP/1.1\r\n",
-                              *(f"{k}: {v}\r\n" for k, v in head.items())]).encode("ascii")
+        self._head = _head(f"POST {self.target} HTTP/1.1", head)
         self._idle: list[tuple[socket.socket, io.BufferedReader]] = []
         self._lock = threading.Lock()
 
-    def _connect(self) -> http.client.HTTPConnection:
-        """A new connection, not yet connected (``_open`` connects it)."""
-        if self._context is None:
-            return http.client.HTTPConnection(*self._address, timeout=self._timeout)
-        conn = http.client.HTTPSConnection(*self._address, timeout=self._timeout,
-                                           context=self._context)
-        if self._tunnel is not None:
-            conn.set_tunnel(*self._tunnel, headers=self._proxy_headers)
-        return conn
-
     def _open(self) -> tuple[socket.socket, io.BufferedReader]:
-        """A connected socket and the one reader that reads its replies."""
-        conn = self._connect()
+        """A connected socket (through the proxy's tunnel and TLS, when the
+        endpoint has them) and the one reader that reads its replies."""
+        sock = socket.create_connection(self._address, self._timeout)
         try:
-            conn.connect()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel is not None:
+                sock.sendall(self._tunnel)
+                with sock.makefile("rb") as reader:
+                    _, status, reason = _read_status(reader)
+                    if status != 200:
+                        raise OSError(f"Tunnel connection failed: {status} {reason}")
+                    _read_fields(reader)
+            if self._context is not None:
+                sock = self._context.wrap_socket(sock, server_hostname=self._tls_host)
         except BaseException:
-            conn.close()
+            sock.close()
             raise
-        return conn.sock, conn.sock.makefile("rb")
+        return sock, sock.makefile("rb")
 
     @staticmethod
     def _close(sock: socket.socket, reader: io.BufferedReader) -> None:
@@ -301,7 +368,7 @@ class _ConnectionPool:
         """POST ``body`` to the endpoint with ``headers`` (encoded
         ``Name: value\\r\\n`` lines) added; returns the reply's status, its
         headers by lower-cased name, and its body. Raises ``OSError`` or
-        ``http.client.HTTPException`` on transport failures."""
+        ``_BadReply`` on transport failures."""
         request = b"".join((self._head, b"Content-Length: %d\r\n" % len(body), headers,
                             b"\r\n", body))
         with self._lock:
@@ -397,7 +464,7 @@ class OpenAIChatBackend:
             retry_after = None
             try:
                 status, reply_headers, data = self._pool.post(body, headers)
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, _BadReply) as exc:
                 last_error = TransportError(str(exc) or type(exc).__name__)
             else:
                 if 200 <= status < 300:
