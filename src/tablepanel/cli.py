@@ -14,7 +14,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,7 +23,6 @@ from .deliberation import (
     DeliberationTrace,
     InvalidConfig,
     PipelineConfig,
-    StageName,
     ablation_presets,
     run_panel,
 )
@@ -35,7 +34,7 @@ from .gateway import (
     ScriptedBackend,
     ScriptEntry,
 )
-from .metrics import MetricReport, Prediction, score_run
+from .metrics import METRIC_NAMES, MetricReport, Prediction, score_run
 from .personas import Panel, Persona, PromptLibrary
 from .tables import (
     ContextPassages,
@@ -52,22 +51,6 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record for one run; never contains the API key."""
-
-    config_name: str
-    config_digest: str
-    dataset: dict
-    backend: dict
-    started: str
-    finished: str
-    totals: dict
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _now() -> str:
@@ -119,50 +102,34 @@ def resolve_config(
     seed: Optional[int] = None,
     t_max_panel: Optional[int] = None,
 ) -> PipelineConfig:
-    """A preset name, or a JSON file mirroring PipelineConfig. CLI flags
-    (--seed, --t-max) override values from either source."""
+    """A preset name, or a JSON file of PipelineConfig fields whose unset
+    fields come from its ``preset`` (or, without one, PipelineConfig's
+    defaults; the name defaults to the file's stem). CLI flags (--seed,
+    --t-max) override values from either source."""
     presets = ablation_presets(seed if seed is not None else 0)
+    flags = {name: value for name, value in (("ordering_seed", seed), ("t_max_panel", t_max_panel))
+             if value is not None}
     if name_or_path in presets:
-        config = presets[name_or_path]
-    elif Path(name_or_path).exists():
-        data = _load_json_file(name_or_path, "pipeline config")
-        try:
-            base = data.get("preset")
-            if base is not None and base not in presets:
-                raise CliError(f"unknown preset {base!r}; valid: {', '.join(presets)}", 1)
-            panel = (
-                Panel(tuple(Persona(p["name"], p["focus"]) for p in data["panel"]))
-                if "panel" in data
-                else presets[base].panel if base else None
-            )
-            if panel is None:
-                raise CliError("pipeline config needs a 'panel' or a 'preset'", 1)
-            stages = (
-                frozenset(StageName(s) for s in data["stages"])
-                if "stages" in data
-                else presets[base].stages if base else frozenset()
-            )
-            config = PipelineConfig(
-                panel=panel,
-                stages=stages,
-                t_max_self=data.get("t_max_self", 1),
-                t_max_panel=data.get("t_max_panel", 1),
-                ordering_seed=data.get("ordering_seed", 0),
-                format_retry=data.get("format_retry", 1),
-                name=data.get("name", Path(name_or_path).stem),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"bad pipeline config: {exc}", 1)
-    else:
+        return replace(presets[name_or_path], **flags)
+    if not Path(name_or_path).exists():
         raise CliError(
             f"unknown config {name_or_path!r}; valid presets: {', '.join(presets)}", 1
         )
-    overrides = {}
-    if seed is not None:
-        overrides["ordering_seed"] = seed
-    if t_max_panel is not None:
-        overrides["t_max_panel"] = t_max_panel
-    return replace(config, **overrides)
+    data = _load_json_file(name_or_path, "pipeline config")
+    try:
+        base = data.get("preset")
+        if base is not None and base not in presets:
+            raise CliError(f"unknown preset {base!r}; valid: {', '.join(presets)}", 1)
+        if base is None and "panel" not in data:
+            raise CliError("pipeline config needs a 'panel' or a 'preset'", 1)
+        changes = {"name": Path(name_or_path).stem}
+        changes.update((f.name, data[f.name]) for f in fields(PipelineConfig) if f.name in data)
+        if "panel" in data:
+            changes["panel"] = Panel(tuple(Persona(p["name"], p["focus"]) for p in data["panel"]))
+        changes.update(flags)
+        return replace(presets[base], **changes) if base is not None else PipelineConfig(**changes)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad pipeline config: {exc}", 1)
 
 
 def _read_table_file(path: str) -> tuple[Table, ContextPassages]:
@@ -297,22 +264,23 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_traces(out / "traces.jsonl", traces)
-    manifest = RunManifest(
-        config_name=config.name or args.config,
-        config_digest=config.digest(),
-        dataset={"kind": kind.value, "path": str(args.path)},
-        backend=_backend_summary(backend),
-        started=started,
-        finished=finished,
-        totals={
+    # Reproducibility record for the run; never holds the API key.
+    manifest = {
+        "config_name": config.name or args.config,
+        "config_digest": config.digest(),
+        "dataset": {"kind": kind.value, "path": str(args.path)},
+        "backend": _backend_summary(backend),
+        "started": started,
+        "finished": finished,
+        "totals": {
             "tasks": len(tasks),
             "llm_calls": sum(t.llm_calls for t in traces),
             "errors": len(failures),
             "failed_task_ids": failures,
         },
-    )
+    }
     (out / "manifest.json").write_text(
-        json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if report is None:
         print(json.dumps({"error": "all tasks failed"}, sort_keys=True))
@@ -327,9 +295,6 @@ def _backend_summary(backend: ChatBackend) -> dict:
     if isinstance(backend, OpenAIChatBackend):
         return {"model_name": backend.config.model_name, "base_url": backend.config.base_url}
     return {"model_name": backend.model_name, "base_url": "scripted"}
-
-
-_REPORT_COLUMNS = ("em", "f1", "denotation_acc", "micro_f1", "label_acc", "feverous_score")
 
 
 def cmd_ablate(args) -> int:
@@ -363,7 +328,7 @@ def cmd_ablate(args) -> int:
 
 
 def _print_ablation_table(rows: list[dict]) -> None:
-    metric_names = [c for c in _REPORT_COLUMNS
+    metric_names = [c for c in METRIC_NAMES
                     if any(r["report"] and c in r["report"] for r in rows)]
     header = ["preset", "tasks", "errors", "calls"] + metric_names
     widths = [max(len(header[0]), max(len(r["preset"]) for r in rows))] + [8] * (len(header) - 1)

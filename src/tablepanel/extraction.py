@@ -37,6 +37,10 @@ class Verdict(str, Enum):
     VALIDATED = "validated"
 
 
+# The POSITION choices of a deliberation reply: keep the answer, or change it.
+POSITIONS = ("keep", "change")
+
+
 @dataclass(frozen=True)
 class AnalyticalNotes:
     points: tuple[str, ...] = ()
@@ -112,7 +116,7 @@ def extract_deliberation(raw: str, kind: TaskKind) -> tuple[Answer, bool]:
     if not m:
         raise FormatError("POSITION")
     value = m.group(1).strip().lower()
-    if value not in ("keep", "change"):
+    if value not in POSITIONS:
         raise FormatError("POSITION", f"unknown value {value!r}")
     answer = Answer.from_raw(_last_answer(raw), kind)
     return answer, value == "change"

@@ -39,6 +39,10 @@ class Prediction:
     evidence_correct: Optional[bool] = None
 
 
+# The score fields of a MetricReport, in report and table column order.
+METRIC_NAMES = ("em", "f1", "denotation_acc", "micro_f1", "label_acc", "feverous_score")
+
+
 @dataclass(frozen=True)
 class MetricReport:
     """Scores for one run over one task kind; inapplicable fields are None."""
@@ -54,7 +58,7 @@ class MetricReport:
 
     def to_json_dict(self) -> dict:
         data = {"kind": self.kind, "n": self.n}
-        for name in ("em", "f1", "denotation_acc", "micro_f1", "label_acc", "feverous_score"):
+        for name in METRIC_NAMES:
             value = getattr(self, name)
             if value is not None:
                 data[name] = value

@@ -16,6 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
+from .extraction import POSITIONS, Complexity, Verdict
 from .gateway import ChatMessage
 from .tables import AnswerMode, TaskKind
 
@@ -82,12 +83,18 @@ STAGE_PLACEHOLDERS: dict[Stage, frozenset[str]] = {
 
 _SYSTEM_EXTRAS = frozenset({"persona", "task_description"})
 
+
+def _choices(values) -> str:
+    return "<" + "|".join(values) + ">"
+
+
 # Fixed output contracts. These exact strings go into every system message,
-# and the extraction module's regexes target exactly these marker lines.
+# and the extraction module's regexes target exactly these marker lines; the
+# choice lists are the values those extractors accept.
 OUTPUT_CONTRACTS: dict[Stage, str] = {
     Stage.ASSESS: (
         "Reply with exactly these markers:\n"
-        "COMPLEXITY: <basic|intermediate|complex>\n"
+        f"COMPLEXITY: {_choices(c.value for c in Complexity)}\n"
         "NOTES:\n"
         '- <one analytical point per line, each line starting with "- ">'
     ),
@@ -97,7 +104,7 @@ OUTPUT_CONTRACTS: dict[Stage, str] = {
     ),
     Stage.VERIFY: (
         "End your reply with a single line:\n"
-        "VERDICT: <uncertain|validated>"
+        f"VERDICT: {_choices(v.value for v in Verdict)}"
     ),
     Stage.PRESENT: (
         "End your reply with exactly these two lines:\n"
@@ -106,7 +113,7 @@ OUTPUT_CONTRACTS: dict[Stage, str] = {
     ),
     Stage.DELIBERATE: (
         "End your reply with exactly these two lines:\n"
-        "POSITION: <keep|change>\n"
+        f"POSITION: {_choices(POSITIONS)}\n"
         "ANSWER: <your final answer>"
     ),
 }

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,9 @@ import pytest
 import tablepanel
 from tablepanel.cli import build_backend, main, resolve_config
 from tablepanel.datasets import DatasetKind
+from tablepanel.deliberation import PipelineConfig, StageName, ablation_presets
 from tablepanel.gateway import BackendConfig, OpenAIChatBackend
-from tablepanel.personas import OUTPUT_CONTRACTS, Stage
+from tablepanel.personas import OUTPUT_CONTRACTS, Panel, Persona, Stage
 from tablepanel.cli import _backend_summary
 
 
@@ -198,6 +200,23 @@ class TestBench:
         assert [t["llm_calls"] for t in traces] == [20] * 10
 
 
+def test_manifest_keys_and_values(tmp_path, capsys):
+    backend = script_file(tmp_path / "b.json", unanimity_items("42"))
+    out = tmp_path / "run"
+    assert main(["bench", "tatqa", "fixture", "--backend", backend, "--jobs", "2",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    for stamp in ("started", "finished"):
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", manifest.pop(stamp))
+    assert manifest == {
+        "backend": {"base_url": "scripted", "model_name": "scripted"},
+        "config_digest": "01c24c3e92c2ff12",
+        "config_name": "full",
+        "dataset": {"kind": "tatqa", "path": "fixture"},
+        "totals": {"errors": 0, "failed_task_ids": [], "llm_calls": 200, "tasks": 10},
+    }
+
+
 class TestScore:
     def test_rescoring_reproduces_bench_report(self, tmp_path, capsys):
         out = run_bench(tmp_path, "run1")
@@ -323,6 +342,27 @@ class TestConfigResolution:
         }), encoding="utf-8")
         config = resolve_config(str(file))
         assert [m.name for m in config.panel.members] == ["Ada", "Grace"]
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("preset", list(ablation_presets()))
+    def test_preset_file_is_its_preset_under_the_file_name(self, tmp_path, preset, seed):
+        file = tmp_path / "mine.json"
+        file.write_text(json.dumps({"preset": preset}), encoding="utf-8")
+        expected = replace(ablation_presets(seed or 0)[preset], name="mine")
+        assert resolve_config(str(file), seed=seed) == expected
+        assert resolve_config(str(file), seed=seed, t_max_panel=3) == replace(expected, t_max_panel=3)
+
+    def test_config_file_setting_every_field_overrides_each(self, tmp_path):
+        data = {"preset": "full", "panel": [{"name": "Ada", "focus": "Check the arithmetic"}],
+                "stages": ["self_review"], "t_max_self": 2, "t_max_panel": 3,
+                "ordering_seed": 4, "format_retry": 0, "name": "mine"}
+        assert {f.name for f in fields(PipelineConfig)} < set(data)
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps(data), encoding="utf-8")
+        assert resolve_config(str(file)) == PipelineConfig(
+            panel=Panel((Persona("Ada", "Check the arithmetic"),)),
+            stages=frozenset({StageName.SELF_REVIEW}), t_max_self=2, t_max_panel=3,
+            ordering_seed=4, format_retry=0, name="mine")
 
     def test_scripted_backend_file(self, tmp_path):
         backend = build_backend(script_file(tmp_path / "b.json",
