@@ -155,15 +155,48 @@ def _load_tasks(kind: DatasetKind, path: str, limit: Optional[int]) -> list[Task
     if not source.exists():
         raise CliError(f"dataset file not found: {source}", 1)
     try:
-        return list(load(kind, source, limit))
+        tasks = list(load(kind, source, limit))
     except (ParseError, UnknownLabel, FileNotFoundError) as exc:
         raise CliError(f"cannot load dataset: {exc}", 1)
+    seen = set()
+    for task in tasks:
+        if task.id in seen:
+            raise CliError(f"cannot load dataset: duplicate task id {task.id!r}", 1)
+        seen.add(task.id)
+    return tasks
+
+
+def _bench_tasks(args) -> list[TaskInstance]:
+    """The tasks of a ``bench`` or ``ablate`` run, once --jobs is checked."""
+    if args.jobs < 1:
+        raise CliError("--jobs must be >= 1", 1)
+    tasks = _load_tasks(DatasetKind(args.kind), args.path, args.limit)
+    if not tasks:
+        raise CliError("dataset yielded no tasks", 1)
+    return tasks
 
 
 def _templates(args) -> PromptLibrary:
-    if getattr(args, "templates", None):
+    if not args.templates:
+        return PromptLibrary.default()
+    if not Path(args.templates).is_dir():
+        raise CliError(f"templates directory not found: {args.templates}", 1)
+    try:
         return PromptLibrary.from_dir(args.templates)
-    return PromptLibrary.default()
+    except (OSError, ValueError) as exc:
+        raise CliError(f"bad templates in {args.templates}: {exc}", 1)
+
+
+def _out_dir(path: Optional[str]) -> Optional[Path]:
+    """Create the output directory (None: no output) before the backend is
+    built, so that an unwritable one costs no run."""
+    if path is None:
+        return None
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", 1)
+    return Path(path)
 
 
 def _run_tasks(
@@ -175,8 +208,6 @@ def _run_tasks(
 ) -> list[DeliberationTrace]:
     # Tasks run ``jobs`` at a time; each run_panel may fan its agents out over
     # up to PANEL_WIDTH_MAX threads of its own (see deliberation).
-    if jobs < 1:
-        raise CliError("--jobs must be >= 1", 1)
     if jobs == 1:
         return [run_panel(task, config, backend, templates) for task in tasks]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -222,11 +253,11 @@ def cmd_ask(args) -> int:
         query=Query(args.query),
         kind=TaskKind.qa(),
     )
+    templates = _templates(args)
+    if args.trace and not Path(args.trace).parent.is_dir():
+        raise CliError(f"cannot write {args.trace}: no directory {Path(args.trace).parent}", 1)
     with closing(build_backend(args.backend)) as backend:
-        try:
-            trace = run_panel(task, config, backend, _templates(args))
-        except InvalidConfig as exc:
-            raise CliError(str(exc), 1)
+        trace = run_panel(task, config, backend, templates)
     if args.trace:
         _write_traces(Path(args.trace), [trace])
     if not trace.complete or trace.final is None:
@@ -249,26 +280,22 @@ def _bench_once(
 
 
 def cmd_bench(args) -> int:
-    kind = DatasetKind(args.kind)
-    tasks = _load_tasks(kind, args.path, args.limit)
-    if not tasks:
-        raise CliError("dataset yielded no tasks", 1)
+    tasks = _bench_tasks(args)
     config = resolve_config(args.config, args.seed, args.t_max)
     templates = _templates(args)
+    out = _out_dir(args.out)
 
     with closing(build_backend(args.backend)) as backend:
         started = _now()
         traces, report, failures = _bench_once(tasks, config, backend, templates, args.jobs)
         finished = _now()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_traces(out / "traces.jsonl", traces)
     # Reproducibility record for the run; never holds the API key.
     manifest = {
         "config_name": config.name or args.config,
         "config_digest": config.digest(),
-        "dataset": {"kind": kind.value, "path": str(args.path)},
+        "dataset": {"kind": args.kind, "path": str(args.path)},
         "backend": _backend_summary(backend),
         "started": started,
         "finished": finished,
@@ -298,11 +325,9 @@ def _backend_summary(backend: ChatBackend) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    kind = DatasetKind(args.kind)
-    tasks = _load_tasks(kind, args.path, args.limit)
-    if not tasks:
-        raise CliError("dataset yielded no tasks", 1)
+    tasks = _bench_tasks(args)
     templates = _templates(args)
+    out = _out_dir(args.out)
     rows = []
     for name in ablation_presets():
         config = resolve_config(name, args.seed, args.t_max)
@@ -315,9 +340,7 @@ def cmd_ablate(args) -> int:
             "llm_calls": sum(t.llm_calls for t in traces),
             "report": report.to_json_dict() if report else None,
         })
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "ablation.json").write_text(
             json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

@@ -32,7 +32,8 @@ class MissingBinding(KeyError):
 
 
 class TemplateError(ValueError):
-    """A template body references placeholders its stage does not define."""
+    """A template file that is not UTF-8 text, or a body whose placeholders
+    are not its stage's."""
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,10 @@ class PromptLibrary:
         templates = {}
         for stage in Stage:
             file = root / f"{stage.value}.txt"
-            body = file.read_text(encoding="utf-8") if file.exists() else _DEFAULT_BODIES[stage]
+            try:
+                body = file.read_text(encoding="utf-8") if file.exists() else _DEFAULT_BODIES[stage]
+            except UnicodeDecodeError as exc:
+                raise TemplateError(f"{file.name} is not UTF-8 text: {exc.reason}") from exc
             templates[stage] = PromptTemplate(stage, body)
         return cls(templates)
 

@@ -399,16 +399,18 @@ def _jsonl(*records) -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
 
 
-def _tatqa(table: list, question: str = "What was the revenue?") -> tuple[str, dict]:
+def _tatqa(table: list, question: str = "What was the revenue?",
+           uids: tuple = ("q1",)) -> tuple[str, dict]:
     block = {"table": {"table": table}, "paragraphs": [],
-             "questions": [{"uid": "q1", "question": question, "answer": "1"}]}
+             "questions": [{"uid": uid, "question": question, "answer": "1"} for uid in uids]}
     return "tatqa", {"bad.json": json.dumps([block])}
 
 
-def _wikisql(header: list, rows: list, question: str = "Which year?") -> tuple[str, dict]:
+def _wikisql(header: list, rows: list, question: str = "Which year?",
+             ids: tuple = ("w1",)) -> tuple[str, dict]:
     return "wikisql", {
-        "bad.jsonl": _jsonl({"id": "w1", "question": question, "table_id": "t",
-                             "denotation": ["2019"]}),
+        "bad.jsonl": _jsonl(*({"id": i, "question": question, "table_id": "t",
+                               "denotation": ["2019"]} for i in ids)),
         "bad.tables.jsonl": _jsonl({"id": "t", "header": header, "rows": rows}),
     }
 
@@ -496,6 +498,10 @@ MALFORMED = {
     "dataset-feverous-blank-claim": ("dataset", _feverous(["Year"], [["2019"]], claim=" ")),
     "dataset-semtabfacts-row-too-long": ("dataset", _semtabfacts("<cell>1</cell><cell>2</cell>")),
     "dataset-semtabfacts-blank-statement": ("dataset", _semtabfacts("<cell>1</cell>", " ")),
+    "dataset-tatqa-duplicate-uid": ("dataset", _tatqa([["a"], ["1"]], uids=("q1", "q1"))),
+    "dataset-wikisql-duplicate-id": ("dataset", _wikisql(["Year"], [["2019"]], ids=("w1", "w1"))),
+    "score-dataset-tatqa-duplicate-uid": ("score-dataset",
+                                          _tatqa([["a"], ["1"]], uids=("q1", "q2", "q1"))),
 }
 
 
@@ -514,7 +520,8 @@ def _assert_exits_1_without_traceback(argv: list[str]) -> str:
 def test_malformed_input_file_exits_1_without_traceback(tmp_path, case):
     command, content = MALFORMED[case]
     bad = tmp_path / "bad.json"
-    kind, files = content if command == "dataset" else ("tatqa", {"bad.json": json.dumps(content)})
+    kind, files = (content if command.endswith("dataset")
+                   else ("tatqa", {"bad.json": json.dumps(content)}))
     for name, text in files.items():
         (tmp_path / name).write_text(text + "\n", encoding="utf-8")
     good_backend = script_file(tmp_path / "good.json", unanimity_items())
@@ -532,8 +539,12 @@ def test_malformed_input_file_exits_1_without_traceback(tmp_path, case):
                     "--out", str(tmp_path / "out")],
         "dataset": ["bench", kind, str(tmp_path / next(iter(files))), "--backend", good_backend,
                     "--out", str(tmp_path / "out")],
+        "score-dataset": ["score", str(tmp_path / "traces.jsonl"), kind,
+                          str(tmp_path / next(iter(files)))],
     }[command]
-    _assert_exits_1_without_traceback(argv)
+    err = _assert_exits_1_without_traceback(argv)
+    if "duplicate" in case:
+        assert err.startswith("error: cannot load dataset: duplicate task id ")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -543,3 +554,56 @@ def test_non_positive_jobs_exits_1_without_traceback(tmp_path, command, jobs):
     _assert_exits_1_without_traceback([command, "tatqa", "fixture", "--limit", "1", "--jobs", jobs,
                                        "--backend", backend, "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ask", "bench", "ablate"])
+def test_unwritable_output_exits_1_before_any_backend_call(tmp_path, command):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    # Any backend call would be a backend error (exit 2).
+    backend = script_file(tmp_path / "empty.json", [])
+    if command == "ask":
+        argv = ["ask", "--table", table_csv(tmp_path / "t.csv"), "--query", "q?",
+                "--trace", str(tmp_path / "missing_dir" / "x.jsonl")]
+    else:
+        argv = [command, "tatqa", "fixture", "--limit", "1", "--out", str(taken)]
+    err = _assert_exits_1_without_traceback([*argv, "--backend", backend])
+    assert err.startswith("error: cannot write ")
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def _solve_template(tmp_path: Path, body: bytes) -> str:
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "solve.txt").write_bytes(body)
+    return str(templates)
+
+
+TEMPLATE_ERRORS = {
+    "missing-dir": lambda tmp_path: str(tmp_path / "no-such-dir"),
+    "missing-placeholder": lambda tmp_path: _solve_template(tmp_path, b"{query} {notes}"),
+    "not-utf8": lambda tmp_path: _solve_template(tmp_path, b"\xff{query}"),
+}
+
+
+@pytest.mark.parametrize("command", ["ask", "bench", "ablate"])
+@pytest.mark.parametrize("case", list(TEMPLATE_ERRORS))
+def test_bad_templates_exit_1_before_any_backend_call(tmp_path, case, command):
+    backend = script_file(tmp_path / "empty.json", [])
+    if command == "ask":
+        argv = ["ask", "--table", table_csv(tmp_path / "t.csv"), "--query", "q?"]
+    else:
+        argv = [command, "tatqa", "fixture", "--limit", "1", "--out", str(tmp_path / "out")]
+    _assert_exits_1_without_traceback(
+        [*argv, "--backend", backend, "--templates", TEMPLATE_ERRORS[case](tmp_path)])
+
+
+def test_templates_dir_overrides_a_stage_body(tmp_path, capsys):
+    templates = _solve_template(
+        tmp_path, b"CUSTOM SOLVE\n{flattened_input}\n{query}\n{complexity}\n{notes}\n")
+    # Only the overridden solve body matches this script.
+    backend = script_file(tmp_path / "b.json", [{"match": "CUSTOM SOLVE", "response": "ANSWER: 120"}])
+    code = main(["ask", "--table", table_csv(tmp_path / "t.csv"), "--query", "revenue in 2020?",
+                 "--config", "vanilla", "--backend", backend, "--templates", templates])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "120"
