@@ -254,8 +254,8 @@ def cmd_ask(args) -> int:
         kind=TaskKind.qa(),
     )
     templates = _templates(args)
-    if args.trace and not Path(args.trace).parent.is_dir():
-        raise CliError(f"cannot write {args.trace}: no directory {Path(args.trace).parent}", 1)
+    if args.trace and (Path(args.trace).is_dir() or not Path(args.trace).parent.is_dir()):
+        raise CliError(f"cannot write {args.trace}: not a file in an existing directory", 1)
     with closing(build_backend(args.backend)) as backend:
         trace = run_panel(task, config, backend, templates)
     if args.trace:

@@ -556,15 +556,16 @@ def test_non_positive_jobs_exits_1_without_traceback(tmp_path, command, jobs):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["ask", "bench", "ablate"])
+@pytest.mark.parametrize("command", ["ask", "ask-dir", "bench", "ablate"])
 def test_unwritable_output_exits_1_before_any_backend_call(tmp_path, command):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n", encoding="utf-8")
     # Any backend call would be a backend error (exit 2).
     backend = script_file(tmp_path / "empty.json", [])
-    if command == "ask":
+    if command.startswith("ask"):
+        trace = tmp_path if command == "ask-dir" else tmp_path / "missing_dir" / "x.jsonl"
         argv = ["ask", "--table", table_csv(tmp_path / "t.csv"), "--query", "q?",
-                "--trace", str(tmp_path / "missing_dir" / "x.jsonl")]
+                "--trace", str(trace)]
     else:
         argv = [command, "tatqa", "fixture", "--limit", "1", "--out", str(taken)]
     err = _assert_exits_1_without_traceback([*argv, "--backend", backend])
