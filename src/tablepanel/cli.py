@@ -57,11 +57,19 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
-def _load_json_file(path: str, what: str) -> dict:
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 input file; a CliError when it cannot be read."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise CliError(f"{what} file not found: {path}", 1)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what} file {path}: {exc}", 1)
+
+
+def _load_json_file(path: str, what: str) -> dict:
+    try:
+        data = json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
         raise CliError(f"{what} file {path} is not valid JSON: {exc}", 1)
     if not isinstance(data, dict):
@@ -133,12 +141,9 @@ def resolve_config(
 
 
 def _read_table_file(path: str) -> tuple[Table, ContextPassages]:
-    file = Path(path)
-    if not file.exists():
-        raise CliError(f"table file not found: {path}", 1)
-    text = file.read_text(encoding="utf-8")
+    text = _read_text(path, "table")
     try:
-        if file.suffix.lower() == ".csv":
+        if Path(path).suffix.lower() == ".csv":
             rows = list(csv.reader(text.splitlines()))
             if not rows:
                 raise ValueError("empty CSV file")
@@ -156,7 +161,7 @@ def _load_tasks(kind: DatasetKind, path: str, limit: Optional[int]) -> list[Task
         raise CliError(f"dataset file not found: {source}", 1)
     try:
         tasks = list(load(kind, source, limit))
-    except (ParseError, UnknownLabel, FileNotFoundError) as exc:
+    except (ParseError, UnknownLabel, OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot load dataset: {exc}", 1)
     seen = set()
     for task in tasks:
@@ -207,7 +212,7 @@ def _run_tasks(
     jobs: int,
 ) -> list[DeliberationTrace]:
     # Tasks run ``jobs`` at a time; each run_panel may fan its agents out over
-    # up to PANEL_WIDTH_MAX threads of its own (see deliberation).
+    # threads of its own (see deliberation).
     if jobs == 1:
         return [run_panel(task, config, backend, templates) for task in tasks]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -368,20 +373,17 @@ def _print_ablation_table(rows: list[dict]) -> None:
 def cmd_score(args) -> int:
     kind = DatasetKind(args.kind)
     tasks = _load_tasks(kind, args.path, args.limit)
-    trace_file = Path(args.trace_file)
-    if not trace_file.exists():
-        raise CliError(f"trace file not found: {args.trace_file}", 1)
     by_id = {}
-    with trace_file.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                trace = DeliberationTrace.from_json_dict(json.loads(line))
-                by_id[trace.task_id] = trace
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise CliError(f"trace line {lineno}: {exc}", 1)
+    # Only "\n" ends a trace line: a reply may hold U+2028 and its kin raw.
+    for lineno, line in enumerate(_read_text(args.trace_file, "trace").split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            trace = DeliberationTrace.from_json_dict(json.loads(line))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"trace line {lineno}: {exc}", 1)
+        by_id[trace.task_id] = trace
     report = _score_subset(tasks, _predictions(tasks, [by_id.get(task.id) for task in tasks]))
     if report is None:
         raise CliError("no scorable traces for this dataset", 1)

@@ -13,13 +13,13 @@ and records. Every stage is a function of that run and its agents.
 Agents never read each other during investigation, self-review or any one
 deliberation round. When the backend declares that a reply depends on its
 request alone (``order_independent``), those phases run their agents' jobs
-concurrently on one thread pool per run, at most ``PANEL_WIDTH_MAX`` threads
-wide. Presentations run one after another in the shuffled order, because each
-presenter sees the earlier ones, but a presenter waits only for its own
-self-review, not for the whole panel's. Every job, and the presentation chain,
-works on a copy of the run with its own recorder; the self-review records are
-merged back in agent order and the presentations after them, so a trace is
-byte-identical to that of a sequential run. Distinct runs may also execute
+concurrently on one thread pool per run, one thread per agent. Presentations
+run one after another in the shuffled order, because each presenter sees the
+earlier ones, but a presenter waits only for its own self-review, not for the
+whole panel's. Every job, and the presentation chain, works on a copy of the
+run with its own recorder; the self-review records are merged back in agent
+order and the presentations after them, so a trace is byte-identical to that
+of a sequential run. Distinct runs may also execute
 concurrently against one shared backend.
 """
 
@@ -67,10 +67,6 @@ OUTCOME_MAJORITY_VOTE = "MAJORITY_VOTE"
 _OUTCOMES = frozenset({OUTCOME_UNANIMOUS_INITIAL, OUTCOME_CONSENSUS_ROUND, OUTCOME_MAJORITY_VOTE,
                        None})
 
-# Most agents' calls one run has in flight at once, so a process running
-# ``jobs`` panels concurrently holds at most ``jobs * PANEL_WIDTH_MAX`` panel
-# threads.
-PANEL_WIDTH_MAX = 8
 PANEL_THREAD_PREFIX = "tablepanel-panel"
 
 
@@ -177,10 +173,9 @@ def _check_types(data: dict, types: Mapping[str, tuple[type, ...]]) -> None:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One model exchange. ``seq`` is the call index within the run, which
-    keeps traces byte-stable across identical runs."""
+    """One model exchange. Its ``seq`` in a trace line is its index in the
+    trace's records, which keeps traces byte-stable across identical runs."""
 
-    seq: int
     agent: str
     stage: str
     raw: str
@@ -188,9 +183,9 @@ class StageRecord:
     parsed: Optional[dict] = None
     error: Optional[str] = None
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, seq: int) -> dict:
         return {
-            "seq": self.seq,
+            "seq": seq,
             "agent": self.agent,
             "stage": self.stage,
             "raw": self.raw,
@@ -200,12 +195,13 @@ class StageRecord:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "StageRecord":
+    def from_json_dict(cls, data: dict, seq: int) -> "StageRecord":
         _check_types(data, _RECORD_TYPES)
+        if data["seq"] != seq:
+            raise ValueError(f"record {seq} has seq {data['seq']!r}; records count 0, 1, 2, ...")
         if data["stage"] not in _STAGES:
             raise ValueError(f"stage must be one of {sorted(_STAGES)}, got {data['stage']!r}")
         return cls(
-            seq=data["seq"],
             agent=data["agent"],
             stage=data["stage"],
             raw=data["raw"],
@@ -251,7 +247,7 @@ class DeliberationTrace:
         return {
             "task_id": self.task_id,
             "config_digest": self.config_digest,
-            "records": [r.to_json_dict() for r in self.records],
+            "records": [r.to_json_dict(seq) for seq, r in enumerate(self.records)],
             "presentation_order": list(self.presentation_order),
             "rounds": [
                 {name: _answer_to_json(ans) for name, ans in rnd.items()}
@@ -281,7 +277,7 @@ class DeliberationTrace:
         return cls(
             task_id=data["task_id"],
             config_digest=data["config_digest"],
-            records=[StageRecord.from_json_dict(r) for r in data["records"]],
+            records=[StageRecord.from_json_dict(r, seq) for seq, r in enumerate(data["records"])],
             presentation_order=list(data["presentation_order"]),
             rounds=[
                 {name: _answer_from_json(ans) for name, ans in rnd.items()}
@@ -298,8 +294,8 @@ class DeliberationTrace:
 
 
 class TraceRecorder:
-    """Collects stage records with a deterministic per-run sequence index,
-    and counts the backend calls made on its behalf, failed ones included."""
+    """Collects stage records in call order, and counts the backend calls
+    made on its behalf, failed ones included."""
 
     def __init__(self) -> None:
         self.records: list[StageRecord] = []
@@ -307,15 +303,11 @@ class TraceRecorder:
 
     def add(self, agent: str, stage: Stage, raw: str, ok: bool,
             parsed: Optional[dict] = None, error: Optional[str] = None) -> None:
-        self.records.append(StageRecord(
-            seq=len(self.records), agent=agent, stage=stage.value, raw=raw,
-            ok=ok, parsed=parsed, error=error,
-        ))
+        self.records.append(StageRecord(agent, stage.value, raw, ok, parsed, error))
 
     def merge(self, other: "TraceRecorder") -> None:
-        """Append ``other``'s records after this one's, renumbering ``seq``."""
-        for record in other.records:
-            self.records.append(replace(record, seq=len(self.records)))
+        """Append ``other``'s records and calls after this one's."""
+        self.records.extend(other.records)
         self.calls += other.calls
 
 
@@ -654,15 +646,11 @@ def run_panel(
     """
     agents = [AgentState(persona=p) for p in config.panel.members]
     first_solve = investigate if StageName.INVESTIGATION in config.stages else direct_solve
-    width = 1
-    if getattr(backend, "order_independent", False):
-        # Past the cap the pool keeps one thread fewer: the presentation chain
-        # makes its calls from this thread while queued self-reviews run.
-        width = len(agents) if len(agents) <= PANEL_WIDTH_MAX else PANEL_WIDTH_MAX - 1
+    fan_out = len(agents) > 1 and getattr(backend, "order_independent", False)
     run = PanelRun(task, config, backend, templates or PromptLibrary.default(),
                    flatten_table(task.table, task.context),
-                   pool=ThreadPoolExecutor(width, thread_name_prefix=PANEL_THREAD_PREFIX)
-                   if width > 1 else None)
+                   pool=ThreadPoolExecutor(len(agents), thread_name_prefix=PANEL_THREAD_PREFIX)
+                   if fan_out else None)
     trace = DeliberationTrace(task_id=task.id, config_digest=config.digest())
     try:
         _run_jobs(run, first_solve, agents)

@@ -21,6 +21,10 @@ from .gateway import ChatMessage
 from .tables import AnswerMode, TaskKind
 
 
+# Most members a panel may seat, and so most threads one run fans out over.
+PANEL_SIZE_MAX = 8
+
+
 class PoolTooSmall(ValueError):
     """Random panel selection needs a pool of at least two personas."""
 
@@ -54,8 +58,8 @@ class Panel:
         object.__setattr__(self, "members", tuple(self.members))
         # Floor of 1 admits the single-agent pipeline configurations; peer
         # review itself requires >= 2 members (enforced on the run config).
-        if not 1 <= len(self.members) <= 8:
-            raise ValueError("panel must have between 1 and 8 members")
+        if not 1 <= len(self.members) <= PANEL_SIZE_MAX:
+            raise ValueError(f"panel must have between 1 and {PANEL_SIZE_MAX} members")
         names = [m.name for m in self.members]
         if len(set(names)) != len(names):
             raise ValueError("panel member names must be pairwise distinct")

@@ -446,6 +446,7 @@ MALFORMED = {
                                            final={"raw": "1,450", "normalized": "1450"})),
     "trace-stage-unknown": ("score", _scorable(records=[_record(stage="reflect")])),
     "trace-outcome-unknown": ("score", _scorable(outcome="UNANIMOUS")),
+    "trace-records-numbered-1-0": ("score", _scorable(records=[_record(seq=1), _record(seq=0)])),
     "trace-untyped-fields": ("score", _scorable(
         config_digest=7, records=[{"seq": "a", "agent": 1, "stage": 2, "raw": 3, "ok": "no"}],
         presentation_order="abc", outcome=5, llm_calls="many")),
@@ -571,6 +572,30 @@ def test_unwritable_output_exits_1_before_any_backend_call(tmp_path, command):
     err = _assert_exits_1_without_traceback([*argv, "--backend", backend])
     assert err.startswith("error: cannot write ")
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize("form", ["directory", "not-utf8"])
+@pytest.mark.parametrize("what", ["table", "backend", "config", "dataset", "trace"])
+def test_unreadable_input_file_exits_1_without_traceback(tmp_path, what, form):
+    bad = tmp_path / "bad.json"
+    if form == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'{"type": "scripted", "script": [], "\xff": 1}\n')
+    backend = script_file(tmp_path / "good.json", unanimity_items())
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "table": ["ask", "--table", str(bad), "--query", "q?", "--backend", backend],
+        "backend": ["bench", "tatqa", "fixture", "--limit", "1", "--backend", str(bad), *out],
+        "config": ["bench", "tatqa", "fixture", "--limit", "1", "--config", str(bad),
+                   "--backend", backend, *out],
+        "dataset": ["bench", "tatqa", str(bad), "--backend", backend, *out],
+        "trace": ["score", str(bad), "tatqa", "fixture"],
+    }[what]
+    err = _assert_exits_1_without_traceback(argv)
+    assert err.startswith("error: cannot load dataset: " if what == "dataset"
+                          else "error: cannot read "), err
+    assert err.count("\n") == 1, err
 
 
 def _solve_template(tmp_path: Path, body: bytes) -> str:

@@ -14,7 +14,6 @@ import pytest
 import tablepanel.deliberation as deliberation
 from tablepanel.deliberation import (
     PANEL_THREAD_PREFIX,
-    PANEL_WIDTH_MAX,
     AgentState,
     DeliberationTrace,
     InvalidConfig,
@@ -724,7 +723,6 @@ class TestConcurrentPanel:
         assert [(r.agent, r.stage) for r in trace.records[10:]] == (
             [(a, "verify") for a in reviewed]
             + [(a, "present") for a in ("Albert Einstein", "Marie Curie", "Alan Turing")])
-        assert [r.seq for r in trace.records] == list(range(len(trace.records)))
         assert panel_threads() == []
 
     def test_failed_self_review_without_fan_out_makes_no_presentation(self, qa_task):
@@ -757,21 +755,6 @@ class TestConcurrentPanel:
         sequential = run_panel(qa_task, config, PolicyBackend(unanimous_policy, order_independent=False))
         assert trace.to_json_line() == sequential.to_json_line()
 
-    def test_twelve_persona_panel_stays_within_the_thread_cap(self, qa_task):
-        personas = tuple(Persona(f"Scientist {i}", "Check the table") for i in range(12))
-        # Panel validation admits at most 8 members; build a larger one
-        # around it, since the cap guards the engine, not the config format.
-        panel = object.__new__(Panel)
-        object.__setattr__(panel, "members", personas)
-        config = dataclasses.replace(ablation_presets()["full"], panel=panel)
-        backend = PolicyBackend(unanimous_policy, delay=lambda persona: 0.01)
-        trace = run_panel(qa_task, config, backend)
-        assert trace.complete and trace.llm_calls == 12 * 4
-        assert 1 < in_flight_max(backend.spans) <= PANEL_WIDTH_MAX
-        pool_threads = {t for t in backend.threads if t.startswith(PANEL_THREAD_PREFIX)}
-        assert len(pool_threads) <= PANEL_WIDTH_MAX
-        assert panel_threads() == []
-
     def test_transport_error_lets_the_phase_finish_and_keeps_its_records(self, qa_task):
         def policy(persona, stage, turn, repeat):
             if stage is Stage.ASSESS and persona == "Isaac Newton":
@@ -786,11 +769,12 @@ class TestConcurrentPanel:
         assert not trace.complete and trace.final is None
         assert trace.error == "TransportError: newton unreachable"
         # Einstein, Curie and Tesla finish their investigation, in agent order.
-        assert [(r.seq, r.agent, r.stage) for r in trace.records] == [
-            (0, "Albert Einstein", "assess"), (1, "Albert Einstein", "solve"),
-            (2, "Marie Curie", "assess"), (3, "Marie Curie", "solve"),
-            (4, "Nikola Tesla", "assess"), (5, "Nikola Tesla", "solve"),
+        assert [(r.agent, r.stage) for r in trace.records] == [
+            ("Albert Einstein", "assess"), ("Albert Einstein", "solve"),
+            ("Marie Curie", "assess"), ("Marie Curie", "solve"),
+            ("Nikola Tesla", "assess"), ("Nikola Tesla", "solve"),
         ]
+        assert [r["seq"] for r in trace.to_json_dict()["records"]] == list(range(6))
         assert trace.llm_calls == len(backend.spans) == 5 + 3
         assert panel_threads() == []
 

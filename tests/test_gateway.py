@@ -21,7 +21,6 @@ import pytest
 
 import tablepanel
 from tablepanel import cli, gateway
-from tablepanel.deliberation import PANEL_WIDTH_MAX
 from tablepanel.gateway import (
     ApiError,
     BackendConfig,
@@ -34,7 +33,7 @@ from tablepanel.gateway import (
     ScriptExhausted,
     TransportError,
 )
-from tablepanel.personas import OUTPUT_CONTRACTS, Stage
+from tablepanel.personas import OUTPUT_CONTRACTS, PANEL_SIZE_MAX, Stage
 
 
 def req(content: str = "hello") -> ChatRequest:
@@ -792,7 +791,7 @@ class TestBackendLifecycle:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["totals"]["llm_calls"] == 200
         assert len(_StubHandler.seen) == 200
-        assert 1 <= _StubHandler.counts["opened"] <= 4 * PANEL_WIDTH_MAX
+        assert 1 <= _StubHandler.counts["opened"] <= 4 * PANEL_SIZE_MAX
         assert len(built) == 1
         assert wait_until(lambda: _StubHandler.counts["closed"] == _StubHandler.counts["opened"])
 
