@@ -125,6 +125,9 @@ def resolve_config(
         )
     data = _load_json_file(name_or_path, "pipeline config")
     try:
+        unknown = data.keys() - {"preset"} - {f.name for f in fields(PipelineConfig)}
+        if unknown:
+            raise ValueError(f"unknown key {min(unknown)!r}")
         base = data.get("preset")
         if base is not None and base not in presets:
             raise CliError(f"unknown preset {base!r}; valid: {', '.join(presets)}", 1)
@@ -212,12 +215,12 @@ def _run_tasks(
     jobs: int,
 ) -> list[DeliberationTrace]:
     # Tasks run ``jobs`` at a time; each run_panel may fan its agents out over
-    # threads of its own (see deliberation).
+    # threads of its own (see deliberation). An interrupt stops the map, which
+    # cancels the tasks not yet started; the ones in flight finish.
     if jobs == 1:
         return [run_panel(task, config, backend, templates) for task in tasks]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_panel, task, config, backend, templates) for task in tasks]
-        return [f.result() for f in futures]
+        return list(pool.map(lambda task: run_panel(task, config, backend, templates), tasks))
 
 
 def _predictions(
@@ -383,6 +386,8 @@ def cmd_score(args) -> int:
             trace = DeliberationTrace.from_json_dict(json.loads(line))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"trace line {lineno}: {exc}", 1)
+        if trace.task_id in by_id:
+            raise CliError(f"trace line {lineno}: repeated task id {trace.task_id!r}", 1)
         by_id[trace.task_id] = trace
     report = _score_subset(tasks, _predictions(tasks, [by_id.get(task.id) for task in tasks]))
     if report is None:

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,9 +14,9 @@ import pytest
 
 import tablepanel
 from tablepanel.cli import build_backend, main, resolve_config
-from tablepanel.datasets import DatasetKind
+from tablepanel.datasets import DatasetKind, fixture
 from tablepanel.deliberation import PipelineConfig, StageName, ablation_presets
-from tablepanel.gateway import BackendConfig, OpenAIChatBackend
+from tablepanel.gateway import BackendConfig, ChatRequest, OpenAIChatBackend
 from tablepanel.personas import OUTPUT_CONTRACTS, Panel, Persona, Stage
 from tablepanel.cli import _backend_summary
 
@@ -198,6 +200,36 @@ class TestBench:
         assert manifest["totals"]["llm_calls"] == 200
         traces = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
         assert [t["llm_calls"] for t in traces] == [20] * 10
+
+    @pytest.mark.parametrize("command", ["bench", "ablate"])
+    def test_interrupt_under_jobs_starts_no_queued_task(self, tmp_path, monkeypatch, command):
+        queries = [t.query.text for t in fixture(DatasetKind.TATQA)]
+        script = build_backend(script_file(tmp_path / "b.json", unanimity_items("42")))
+        calls = []  # the fixture index of each call's task
+        lock = threading.Lock()
+
+        class Interrupting:
+            model_name, temperature, order_independent = "m", 0.0, True
+
+            def complete(self, request: ChatRequest) -> str:
+                task = next(i for i, q in enumerate(queries) if q in request.messages[-1].content)
+                with lock:
+                    first = task == 0 and 0 not in calls
+                    calls.append(task)
+                if first:
+                    raise KeyboardInterrupt
+                time.sleep(0.01)
+                return script.complete(request)
+
+            def close(self) -> None:
+                pass
+
+        monkeypatch.setattr("tablepanel.cli.build_backend", lambda path: Interrupting())
+        with pytest.raises(KeyboardInterrupt):
+            main([command, "tatqa", "fixture", "--jobs", "2", "--backend", "unused.json",
+                  "--out", str(tmp_path / "out")])
+        # Only the tasks in flight when the first task's first call raised made calls.
+        assert len(set(calls)) <= 3
 
 
 def test_manifest_keys_and_values(tmp_path, capsys):
@@ -572,6 +604,23 @@ def test_unwritable_output_exits_1_before_any_backend_call(tmp_path, command):
     err = _assert_exits_1_without_traceback([*argv, "--backend", backend])
     assert err.startswith("error: cannot write ")
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_unknown_config_key_exits_1_before_any_backend_call(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"preset": "full", "t_max": 3}), encoding="utf-8")
+    # Any backend call would be a backend error (exit 2).
+    backend = script_file(tmp_path / "empty.json", [])
+    err = _assert_exits_1_without_traceback(["bench", "tatqa", "fixture", "--config", str(config),
+                                             "--backend", backend, "--out", str(tmp_path / "out")])
+    assert err == "error: bad pipeline config: unknown key 't_max'\n"
+
+
+def test_repeated_trace_task_id_exits_1(tmp_path):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(_jsonl(_scorable(), _scorable()), encoding="utf-8")
+    err = _assert_exits_1_without_traceback(["score", str(traces), "tatqa", "fixture"])
+    assert err == "error: trace line 2: repeated task id 'tatqa-01'\n"
 
 
 @pytest.mark.parametrize("form", ["directory", "not-utf8"])
