@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -147,7 +148,7 @@ def _read_table_file(path: str) -> tuple[Table, ContextPassages]:
     text = _read_text(path, "table")
     try:
         if Path(path).suffix.lower() == ".csv":
-            rows = list(csv.reader(text.splitlines()))
+            rows = list(csv.reader(io.StringIO(text, newline="")))
             if not rows:
                 raise ValueError("empty CSV file")
             return Table(headers=tuple(rows[0]), rows=tuple(tuple(r) for r in rows[1:])), ContextPassages()
@@ -217,32 +218,23 @@ def _run_tasks(
     # Tasks run ``jobs`` at a time; each run_panel may fan its agents out over
     # threads of its own (see deliberation). An interrupt stops the map, which
     # cancels the tasks not yet started; the ones in flight finish.
-    if jobs == 1:
-        return [run_panel(task, config, backend, templates) for task in tasks]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(lambda task: run_panel(task, config, backend, templates), tasks))
 
 
-def _predictions(
+def _score(
     tasks: Sequence[TaskInstance], traces: Sequence[Optional[DeliberationTrace]]
-) -> list[Prediction]:
-    """One prediction per task whose trace (None: no trace) completed with an
-    answer."""
-    preds = []
-    for task, trace in zip(tasks, traces):
-        if trace is None or not trace.complete or trace.final is None:
-            continue
-        evidence_correct = task.evidence.correct if task.evidence is not None else None
-        preds.append(Prediction(task_id=task.id, answer=trace.final, evidence_correct=evidence_correct))
-    return preds
-
-
-def _score_subset(tasks: Sequence[TaskInstance], preds: Sequence[Prediction]) -> Optional[MetricReport]:
-    scored_ids = {p.task_id for p in preds}
-    scorable = [t for t in tasks if t.id in scored_ids]
-    if not scorable:
+) -> Optional[MetricReport]:
+    """The report over the tasks whose trace (None: no trace) completed with an
+    answer; None when no task did."""
+    scored = [(task, trace) for task, trace in zip(tasks, traces)
+              if trace is not None and trace.complete and trace.final is not None]
+    if not scored:
         return None
-    return score_run(list(preds), scorable)
+    preds = [Prediction(task_id=task.id, answer=trace.final,
+                        evidence_correct=task.evidence.correct if task.evidence is not None else None)
+             for task, trace in scored]
+    return score_run(preds, [task for task, _ in scored])
 
 
 def _write_traces(path: Path, traces: Sequence[DeliberationTrace]) -> None:
@@ -283,7 +275,7 @@ def _bench_once(
 ) -> tuple[list[DeliberationTrace], Optional[MetricReport], list[str]]:
     traces = _run_tasks(tasks, config, backend, templates, jobs)
     failures = [t.task_id for t in traces if not t.complete or t.final is None]
-    report = _score_subset(tasks, _predictions(tasks, traces))
+    report = _score(tasks, traces)
     return traces, report, failures
 
 
@@ -389,7 +381,7 @@ def cmd_score(args) -> int:
         if trace.task_id in by_id:
             raise CliError(f"trace line {lineno}: repeated task id {trace.task_id!r}", 1)
         by_id[trace.task_id] = trace
-    report = _score_subset(tasks, _predictions(tasks, [by_id.get(task.id) for task in tasks]))
+    report = _score(tasks, [by_id.get(task.id) for task in tasks])
     if report is None:
         raise CliError("no scorable traces for this dataset", 1)
     print(json.dumps(report.to_json_dict(), sort_keys=True))

@@ -1,9 +1,12 @@
 """Benchmark loaders: map the four corpus file formats into task streams.
 
-All loaders are streaming generators (memory independent of file size) and
-stateless: loading the same path twice yields identical sequences. Each
-dataset also ships a bundled ten-item fixture, schema-identical to real
-corpus files, used by the test suite and for smoke runs.
+All loaders are generators that yield tasks as they build them, and
+stateless: loading the same path twice yields identical sequences. The
+line-delimited kinds (wikisql, feverous) read their main file line by line
+but hold the companion file's tables or evidence in a dict; tatqa and
+semtabfacts parse the whole file before the first task. Each dataset also
+ships a bundled ten-item fixture, schema-identical to real corpus files, used
+by the test suite and for smoke runs.
 
 File formats (also documented in the README):
 
@@ -264,6 +267,8 @@ def _load_feverous(path: Path) -> Iterator[TaskInstance]:
     retrieved: dict[str, list[str]] = {}
     for lineno, obj in _read_jsonl(_sibling(path, ".retrieved.jsonl")):
         try:
+            if type(obj["retrieved"]) is not list:
+                raise TypeError(f"retrieved must be a list of ids, got {obj['retrieved']!r}")
             retrieved[str(obj["id"])] = [str(x) for x in obj["retrieved"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(lineno, f"malformed retrieved record: {exc}")
@@ -276,6 +281,9 @@ def _load_feverous(path: Path) -> Iterator[TaskInstance]:
             item_id = str(obj["id"])
             if item_id not in retrieved:
                 raise ValueError(f"no retrieved evidence for id {item_id!r}")
+            gold = obj["gold_evidence"]
+            if type(gold) is not list or any(type(s) is not list for s in gold):
+                raise TypeError(f"gold_evidence must be a list of id lists, got {gold!r}")
             task = TaskInstance(
                 id=item_id,
                 table=_table_from_record(obj["table"]),
@@ -283,8 +291,7 @@ def _load_feverous(path: Path) -> Iterator[TaskInstance]:
                 query=Query(str(obj["claim"])),
                 kind=kind,
                 gold=Answer.from_raw(label, kind),
-                evidence=FeverousEvidence(retrieved_ids=retrieved[item_id],
-                                          gold_sets=obj["gold_evidence"]),
+                evidence=FeverousEvidence(retrieved_ids=retrieved[item_id], gold_sets=gold),
             )
         except UnknownLabel:
             raise

@@ -16,11 +16,12 @@ request alone (``order_independent``), those phases run their agents' jobs
 concurrently on one thread pool per run, one thread per agent. Presentations
 run one after another in the shuffled order, because each presenter sees the
 earlier ones, but a presenter waits only for its own self-review, not for the
-whole panel's. Every job, and the presentation chain, works on a copy of the
-run with its own recorder; the self-review records are merged back in agent
-order and the presentations after them, so a trace is byte-identical to that
-of a sequential run. Distinct runs may also execute
-concurrently against one shared backend.
+whole panel's. Without a pool the same jobs run one after another in the
+calling thread. Either way every job, and the presentation chain, works on a
+copy of the run with its own recorder; the self-review records are merged
+back in agent order and the presentations after them, and a backend error
+follows one rule, so a trace is byte-identical to that of a sequential run.
+Distinct runs may also execute concurrently against one shared backend.
 """
 
 from __future__ import annotations
@@ -342,9 +343,8 @@ def _start_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
     of ``run`` with its own recorder, and return one future per agent, in
     agent order, for ``_finish_jobs``. Each future holds the job's recorder,
     its result (None when the step raised StageFailed) and the GatewayError
-    it raised, if any. With ``run.pool`` the jobs run there; without one they
-    run now in the calling thread, and a GatewayError ends the phase at once:
-    the records so far are merged into ``run.recorder`` and the error raised."""
+    it raised, if any, so a failing job never stops the others. The jobs run
+    on ``run.pool``, or without one at once in the calling thread."""
     def call(agent: AgentState) -> tuple[TraceRecorder, object, Optional[GatewayError]]:
         job = replace(run, recorder=TraceRecorder())
         try:
@@ -354,16 +354,15 @@ def _start_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
         except GatewayError as exc:
             return job.recorder, None, exc
 
-    if run.pool is not None and len(agents) > 1:
-        return [run.pool.submit(call, agent) for agent in agents]
-    jobs = []
-    for agent in agents:
-        outcome = call(agent)
-        jobs.append(Future())
-        jobs[-1].set_result(outcome)
-        if outcome[2] is not None:
-            _finish_jobs(run, jobs)
-    return jobs
+    submit = run.pool.submit if run.pool is not None else _run_now
+    return [submit(call, agent) for agent in agents]
+
+
+def _run_now(fn: Callable, *args) -> Future:
+    """``fn(*args)``, run in the calling thread, as a finished future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
 
 
 def _finish_jobs(run: PanelRun, jobs: Sequence[Future]) -> list:
@@ -634,15 +633,15 @@ def run_panel(
 
     Agents whose investigation fails are excluded from the panel; transport
     or API errors abort the task and mark the trace incomplete instead of
-    raising. When the backend is ``order_independent`` the agents of every
-    phase but the presentations run concurrently, and a transport error lets
-    the phase's other agents finish first: the trace keeps every record and
-    counts every call made, and carries the error of the first failing agent
-    in agent order. The presentations then start while the self-reviews still
-    run, each presenter once its own review is done; a failed review stops
-    the chain before its agent presents, and the presentations already made
-    stay in the trace after every review record. Without fan-out a failed
-    review ends the run before any presentation.
+    raising. A transport error lets the phase's other agents finish first:
+    the trace keeps every record and counts every call made, and carries the
+    error of the first failing agent in agent order. A failed self-review
+    stops the presentations before its agent presents, and the presentations
+    already made stay in the trace after every review record. When the
+    backend is ``order_independent`` the agents of every phase but the
+    presentations run concurrently, and the presentations start while the
+    self-reviews still run, each presenter once its own review is done; the
+    trace is the same either way.
     """
     agents = [AgentState(persona=p) for p in config.panel.members]
     first_solve = investigate if StageName.INVESTIGATION in config.stages else direct_solve

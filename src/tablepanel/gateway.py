@@ -17,6 +17,7 @@ from __future__ import annotations
 import base64
 import io
 import json
+import math
 import os
 import random
 import re
@@ -116,8 +117,9 @@ class BackendConfig:
             if type(getattr(self, name)) is not str:
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         for name in ("temperature", "request_timeout", "retry_backoff_base"):
-            if type(getattr(self, name)) not in (int, float):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.temperature >= 0:
             raise ValueError("temperature must be >= 0")
         if not self.request_timeout > 0:

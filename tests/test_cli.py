@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from tablepanel.datasets import DatasetKind, fixture
 from tablepanel.deliberation import PipelineConfig, StageName, ablation_presets
 from tablepanel.gateway import BackendConfig, ChatRequest, OpenAIChatBackend
 from tablepanel.personas import OUTPUT_CONTRACTS, Panel, Persona, Stage
-from tablepanel.cli import _backend_summary
+from tablepanel.cli import _backend_summary, _read_table_file
 
 
 def script_file(path: Path, items: list[dict]) -> str:
@@ -96,6 +99,11 @@ class TestAsk:
         code = main(["ask", "--table", table_csv(tmp_path / "t.csv"),
                      "--query", "q?", "--config", "vanilla", "--backend", backend])
         assert code == 2
+
+    def test_csv_cell_keeps_its_line_separator(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text('Year,Trend\n2019,"up\u2028strongly"\n2020,flat\n', encoding="utf-8")
+        assert _read_table_file(str(table))[0].rows == (("2019", "up\u2028strongly"), ("2020", "flat"))
 
     def test_flattened_grammar_table_file(self, tmp_path, capsys):
         table_file = tmp_path / "t.txt"
@@ -201,8 +209,10 @@ class TestBench:
         traces = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
         assert [t["llm_calls"] for t in traces] == [20] * 10
 
-    @pytest.mark.parametrize("command", ["bench", "ablate"])
-    def test_interrupt_under_jobs_starts_no_queued_task(self, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("command, calls_per_task", [("bench", 20), ("ablate", 1)])
+    def test_interrupt_under_jobs_starts_no_queued_task(self, tmp_path, monkeypatch, command,
+                                                        calls_per_task, jobs):
         queries = [t.query.text for t in fixture(DatasetKind.TATQA)]
         script = build_backend(script_file(tmp_path / "b.json", unanimity_items("42")))
         calls = []  # the fixture index of each call's task
@@ -216,9 +226,10 @@ class TestBench:
                 with lock:
                     first = task == 0 and 0 not in calls
                     calls.append(task)
-                if first:
-                    raise KeyboardInterrupt
                 time.sleep(0.01)
+                if first:  # Ctrl-C once the main thread waits, while this task runs on
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                    time.sleep(0.1)
                 return script.complete(request)
 
             def close(self) -> None:
@@ -226,10 +237,13 @@ class TestBench:
 
         monkeypatch.setattr("tablepanel.cli.build_backend", lambda path: Interrupting())
         with pytest.raises(KeyboardInterrupt):
-            main([command, "tatqa", "fixture", "--jobs", "2", "--backend", "unused.json",
+            main([command, "tatqa", "fixture", "--jobs", str(jobs), "--backend", "unused.json",
                   "--out", str(tmp_path / "out")])
-        # Only the tasks in flight when the first task's first call raised made calls.
-        assert len(set(calls)) <= 3
+        # The tasks in flight at the interrupt made every call of theirs; no
+        # other task started.
+        per_task = Counter(calls)
+        assert per_task[0] == calls_per_task and len(per_task) <= jobs
+        assert set(per_task.values()) == {calls_per_task}
 
 
 def test_manifest_keys_and_values(tmp_path, capsys):
@@ -447,12 +461,13 @@ def _wikisql(header: list, rows: list, question: str = "Which year?",
     }
 
 
-def _feverous(header: list, rows: list, claim: str = "It rose.") -> tuple[str, dict]:
+def _feverous(header: list, rows: list, claim: str = "It rose.",
+              gold_evidence: object = (("e1",),), retrieved: object = ("e1",)) -> tuple[str, dict]:
     record = {"id": "f1", "claim": claim, "label": "SUPPORTS",
               "table": {"header": header, "rows": rows}, "sentences": [],
-              "gold_evidence": [["e1"]]}
+              "gold_evidence": gold_evidence}
     return "feverous", {"bad.jsonl": _jsonl(record),
-                        "bad.retrieved.jsonl": _jsonl({"id": "f1", "retrieved": ["e1"]})}
+                        "bad.retrieved.jsonl": _jsonl({"id": "f1", "retrieved": retrieved})}
 
 
 def _semtabfacts(cells: str, statement: str = "It rose.") -> tuple[str, dict]:
@@ -520,6 +535,11 @@ MALFORMED = {
     **{f"backend-{name}-{value}": ("backend", {**OPENAI, name: value}) for name, value in (
         ("temperature", "0.5"), ("model_name", 5), ("api_key_env_var", 5),
         ("request_timeout", True), ("retry_backoff_base", "0.5"))},
+    # JSON's Infinity and NaN: a timeout no socket takes, a sleep without end,
+    # a temperature that is no JSON number.
+    **{f"backend-{name}-{value}": ("backend", {**OPENAI, name: value})
+       for name in ("temperature", "request_timeout", "retry_backoff_base")
+       for value in (math.inf, math.nan)},
     **{f"limit-{command}-{value}": ("limit", (command, value))
        for command in ("bench", "ablate", "score") for value in ("0", "-1")},
     "dataset-tatqa-row-too-long": ("dataset", _tatqa([["a", "b"], ["1", "2", "3"]])),
@@ -529,6 +549,9 @@ MALFORMED = {
     "dataset-wikisql-blank-question": ("dataset", _wikisql(["Year"], [["2019"]], question=" ")),
     "dataset-feverous-row-too-long": ("dataset", _feverous(["Year"], [["2019", "x"]])),
     "dataset-feverous-blank-claim": ("dataset", _feverous(["Year"], [["2019"]], claim=" ")),
+    "dataset-feverous-flat-gold-evidence": ("dataset", _feverous(["Year"], [["2019"]],
+                                                                 gold_evidence=("e1", "e2"))),
+    "dataset-feverous-retrieved-str": ("dataset", _feverous(["Year"], [["2019"]], retrieved="e1")),
     "dataset-semtabfacts-row-too-long": ("dataset", _semtabfacts("<cell>1</cell><cell>2</cell>")),
     "dataset-semtabfacts-blank-statement": ("dataset", _semtabfacts("<cell>1</cell>", " ")),
     "dataset-tatqa-duplicate-uid": ("dataset", _tatqa([["a"], ["1"]], uids=("q1", "q1"))),

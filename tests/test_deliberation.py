@@ -10,6 +10,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tablepanel.deliberation as deliberation
 from tablepanel.deliberation import (
@@ -595,6 +597,26 @@ def adversarial_policy(persona, stage, turn, repeat, reask: bool = False) -> str
     return f"POSITION: keep\nANSWER: {persona}"
 
 
+PLANNED_CHOICES = 32  # a fault plan's choice for a call is one of range(32)
+
+
+def planned_reply(stage: Stage, choice: int) -> str:
+    """The reply a fault plan gives: choice 31 is a transport error, 28-30 a
+    reply that breaks every stage's contract, and any other a good reply."""
+    if choice == PLANNED_CHOICES - 1:
+        raise TransportError("planned fault")
+    if choice >= PLANNED_CHOICES - 4:
+        return "no marker"
+    answer = f"ANSWER: {('B-1', 'C-2', 'D-3')[choice % 3]}"
+    return {
+        Stage.ASSESS: assessment_text(("basic", "complex")[choice % 2]),
+        Stage.SOLVE: answer,
+        Stage.VERIFY: ("VERDICT: validated", "VERDICT: uncertain")[choice % 2],
+        Stage.PRESENT: f"RATIONALE: planned\n{answer}",
+        Stage.DELIBERATE: f"POSITION: {('keep', 'change')[choice % 2]}\n{answer}",
+    }[stage]
+
+
 def critical_path(spans: list[tuple[float, float]]) -> int:
     """Longest chain of calls in which each starts after the previous ended."""
     ordered = sorted(spans)
@@ -716,7 +738,9 @@ class TestConcurrentPanel:
                 assert trace.llm_calls == len(backend.spans) == 10 + 5 + 3
         finally:
             sys.setswitchinterval(switch_interval)
-        assert len(lines) == 1
+        sequential = run_panel(qa_task, config, PolicyBackend(self.failing_review_policy,
+                                                              order_independent=False))
+        assert lines == {sequential.to_json_line()}
         assert not trace.complete and trace.final is None
         assert trace.error == "TransportError: newton unreachable"
         reviewed = [a for a in agents if a not in self.LATE]
@@ -724,14 +748,6 @@ class TestConcurrentPanel:
             [(a, "verify") for a in reviewed]
             + [(a, "present") for a in ("Albert Einstein", "Marie Curie", "Alan Turing")])
         assert panel_threads() == []
-
-    def test_failed_self_review_without_fan_out_makes_no_presentation(self, qa_task):
-        backend = PolicyBackend(self.failing_review_policy, order_independent=False)
-        trace = run_panel(qa_task, ablation_presets(seed=3)["full"], backend)
-        assert trace.error == "TransportError: newton unreachable"
-        assert Stage.PRESENT not in backend.stages
-        assert [(r.agent, r.stage) for r in trace.records[10:]] == [("Albert Einstein", "verify")]
-        assert trace.llm_calls == len(backend.spans) == 10 + 2
 
     def test_unlimited_script_fans_out_with_the_sequential_trace(self, qa_task):
         calls = []
@@ -764,8 +780,11 @@ class TestConcurrentPanel:
                 raise TransportError("turing unreachable")
             return unanimous_policy(persona, stage, turn, repeat)
 
+        config = ablation_presets(seed=3)["full"]
         backend = PolicyBackend(policy)
-        trace = run_panel(qa_task, ablation_presets(seed=3)["full"], backend)
+        trace = run_panel(qa_task, config, backend)
+        sequential = run_panel(qa_task, config, PolicyBackend(policy, order_independent=False))
+        assert trace.to_json_line() == sequential.to_json_line()
         assert not trace.complete and trace.final is None
         assert trace.error == "TransportError: newton unreachable"
         # Einstein, Curie and Tesla finish their investigation, in agent order.
@@ -777,6 +796,38 @@ class TestConcurrentPanel:
         assert [r["seq"] for r in trace.to_json_dict()["records"]] == list(range(6))
         assert trace.llm_calls == len(backend.spans) == 5 + 3
         assert panel_threads() == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(preset=st.sampled_from(list(ablation_presets())), seed=st.integers(0, 3),
+           t_max_self=st.integers(1, 3), t_max_panel=st.integers(1, 3),
+           format_retry=st.integers(0, 2), data=st.data())
+    def test_fan_out_trace_equals_the_sequential_one_under_any_fault_plan(
+            self, preset, seed, t_max_self, t_max_panel, format_retry, data):
+        config = dataclasses.replace(ablation_presets(seed)[preset], t_max_self=t_max_self,
+                                     t_max_panel=t_max_panel, format_retry=format_retry)
+        plan = {}  # (persona, stage, turn, repeat) -> its choice for planned_reply
+
+        def drawing(persona, stage, turn, repeat):
+            # The sequential run draws each call's reply when it first asks.
+            key = (persona, stage, turn, repeat)
+            if key not in plan:
+                plan[key] = data.draw(st.integers(0, PLANNED_CHOICES - 1), label=f"reply to {key}")
+            return planned_reply(stage, plan[key])
+
+        def planned(persona, stage, turn, repeat):
+            return planned_reply(stage, plan.get((persona, stage, turn, repeat), 0))
+
+        task = make_task()
+        sequential = run_panel(task, config, PolicyBackend(drawing, order_independent=False))
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            backend = PolicyBackend(planned, delay=lambda persona: len(persona) % 3 * 2e-4)
+            fanned_out = run_panel(task, config, backend)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert fanned_out.to_json_line() == sequential.to_json_line()
+        assert fanned_out.llm_calls == len(backend.spans)
 
 
 class TestAblationPresets:
