@@ -78,11 +78,17 @@ def _load_json_file(path: str, what: str) -> dict:
     return data
 
 
+def _check_keys(data: dict, allowed: set[str], where: str) -> None:
+    unknown = data.keys() - allowed
+    if unknown:
+        raise ValueError(f"{where}unknown key {min(unknown)!r}")
+
+
 def build_backend(path: str) -> OpenAIChatBackend | ScriptedBackend:
     """Backend config file: {"type": "openai", ...BackendConfig fields} or
     {"type": "scripted", "script": [{"response": str, "match": str?, "repeat":
-     int >= 1 (default 1) or null (unlimited)}, ...]} (see gateway). The
-    caller closes the backend it gets."""
+     int >= 1 (default 1) or null (unlimited)}, ...]} (see gateway). Any other
+    key is an error. The caller closes the backend it gets."""
     data = _load_json_file(path, "backend config")
     backend_type = data.get("type", "openai")
     try:
@@ -90,8 +96,12 @@ def build_backend(path: str) -> OpenAIChatBackend | ScriptedBackend:
             if data.get("strict", True) is not True or "fallback" in data:
                 raise ValueError('"strict": false and "fallback" are gone; end the script '
                                  'with {"response": FALLBACK, "repeat": null} instead')
+            _check_keys(data, {"type", "script", "strict"}, "")
             entries = []
             for item in data.get("script", []):
+                if not isinstance(item, dict):
+                    raise TypeError(f"script entry {item!r} is not an object")
+                _check_keys(item, {"response", "match", "repeat"}, f"script entry {item!r}: ")
                 entry = ScriptEntry(item["response"], item.get("match"), item.get("repeat", 1))
                 if not (isinstance(entry.response, str)
                         and isinstance(entry.matcher, (str, type(None)))):
@@ -126,9 +136,7 @@ def resolve_config(
         )
     data = _load_json_file(name_or_path, "pipeline config")
     try:
-        unknown = data.keys() - {"preset"} - {f.name for f in fields(PipelineConfig)}
-        if unknown:
-            raise ValueError(f"unknown key {min(unknown)!r}")
+        _check_keys(data, {"preset", *(f.name for f in fields(PipelineConfig))}, "")
         base = data.get("preset")
         if base is not None and base not in presets:
             raise CliError(f"unknown preset {base!r}; valid: {', '.join(presets)}", 1)

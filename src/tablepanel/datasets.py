@@ -42,6 +42,7 @@ from .tables import (
     TaskInstance,
     TaskKind,
     UnknownLabel,
+    items_of,
 )
 
 if TYPE_CHECKING:
@@ -149,7 +150,8 @@ def _load_tatqa(path: Path) -> Iterator[TaskInstance]:
                 raise ValueError("table must be a non-empty list of rows")
             table = Table(headers=grid[0], rows=grid[1:])
             context = ContextPassages(tuple(
-                p["text"] if isinstance(p, dict) else p for p in block.get("paragraphs", [])
+                p["text"] if isinstance(p, dict) else p
+                for p in items_of(block.get("paragraphs", []), "paragraphs")
             ))
             questions = list(block["questions"])
         except (KeyError, TypeError, ValueError) as exc:

@@ -13,14 +13,14 @@ and records. Every stage is a function of that run and its agents.
 Agents never read each other during investigation, self-review or any one
 deliberation round. When the backend declares that a reply depends on its
 request alone (``order_independent``), those phases run their agents' jobs
-concurrently on one thread pool per run, one thread per agent. Presentations
-run one after another in the shuffled order, because each presenter sees the
-earlier ones, but a presenter waits only for its own self-review, not for the
-whole panel's. Without a pool the same jobs run one after another in the
-calling thread. Either way every job, and the presentation chain, works on a
-copy of the run with its own recorder; the self-review records are merged
-back in agent order and the presentations after them, and a backend error
-follows one rule, so a trace is byte-identical to that of a sequential run.
+concurrently on one thread pool per run, one thread per agent. The
+presentations are one more job on that pool; they run in the shuffled order,
+because each presenter sees the earlier ones, and a presenter waits only for
+its own self-review. Without a pool every job runs at once in the calling
+thread. Either way a job works on a copy of the run with its own recorder,
+and one rule ends a phase: records merge in job order (the presentations
+after the self-reviews) and the first backend error in that order wins, so a
+trace is byte-identical to that of a sequential run.
 Distinct runs may also execute concurrently against one shared backend.
 """
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -314,8 +315,8 @@ class TraceRecorder:
 
 @dataclass(frozen=True)
 class PanelRun:
-    """What every stage of one run shares. A concurrent job works on a copy
-    with its own ``recorder``; the other fields are never replaced. ``pool``
+    """What every stage of one run shares. A job works on a copy with its
+    own ``recorder``; the other fields are never replaced. ``pool``
     runs a phase's agents concurrently; without one they run in turn."""
 
     task: TaskInstance
@@ -337,38 +338,38 @@ class PanelRun:
         }
 
 
-def _start_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
-                agents: Sequence[AgentState]) -> list[Future]:
-    """Start one phase's ``step(job, agent)`` for each agent, each job on a copy
-    of ``run`` with its own recorder, and return one future per agent, in
-    agent order, for ``_finish_jobs``. Each future holds the job's recorder,
-    its result (None when the step raised StageFailed) and the GatewayError
-    it raised, if any, so a failing job never stops the others. The jobs run
-    on ``run.pool``, or without one at once in the calling thread."""
-    def call(agent: AgentState) -> tuple[TraceRecorder, object, Optional[GatewayError]]:
+def _submit(run: PanelRun, work: Callable[[PanelRun], object]) -> Future:
+    """Run ``work(job)`` on a copy of ``run`` with its own recorder, on
+    ``run.pool`` or else at once in the calling thread. The future holds the
+    job's recorder, its result (None when the work raised StageFailed) and
+    its GatewayError, if any, so a failing job never stops the others."""
+    def call() -> tuple[TraceRecorder, object, Optional[GatewayError]]:
         job = replace(run, recorder=TraceRecorder())
         try:
-            return job.recorder, step(job, agent), None
+            return job.recorder, work(job), None
         except StageFailed:
             return job.recorder, None, None
         except GatewayError as exc:
             return job.recorder, None, exc
 
-    submit = run.pool.submit if run.pool is not None else _run_now
-    return [submit(call, agent) for agent in agents]
-
-
-def _run_now(fn: Callable, *args) -> Future:
-    """``fn(*args)``, run in the calling thread, as a finished future."""
+    if run.pool is not None:
+        return run.pool.submit(call)
     future = Future()
-    future.set_result(fn(*args))
+    future.set_result(call())
     return future
+
+
+def _start_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
+                agents: Sequence[AgentState]) -> list[Future]:
+    """Submit one phase's ``step(job, agent)`` for each agent, and return one
+    future per agent, in agent order."""
+    return [_submit(run, lambda job, agent=agent: step(job, agent)) for agent in agents]
 
 
 def _finish_jobs(run: PanelRun, jobs: Sequence[Future]) -> list:
     """Wait for every job of a phase, merge their records and calls into
-    ``run.recorder`` in agent order, then raise the first GatewayError in
-    agent order, or return the jobs' results in that order."""
+    ``run.recorder`` in the order of ``jobs``, then raise the first
+    GatewayError in that order, or return the jobs' results in that order."""
     outcomes = [job.result() for job in jobs]
     for own, _, _ in outcomes:
         run.recorder.merge(own)
@@ -507,19 +508,12 @@ def majority_vote(solutions: Mapping[str, Answer], presentation_order: Sequence[
     if not solutions:
         raise ValueError("majority_vote requires at least one solution")
     position = {name: i for i, name in enumerate(presentation_order)}
-    fallback = len(presentation_order)
-    groups: dict[str, list[str]] = {}
-    for name in solutions:
-        groups.setdefault(solutions[name].normalized, []).append(name)
+    support = Counter(answer.normalized for answer in solutions.values())
 
-    def rank(item: tuple[str, list[str]]) -> tuple[int, int]:
-        _, supporters = item
-        earliest = min(position.get(n, fallback) for n in supporters)
-        return (-len(supporters), earliest)
+    def rank(name: str) -> tuple[int, int]:
+        return -support[solutions[name].normalized], position.get(name, len(presentation_order))
 
-    _, winners = min(groups.items(), key=rank)
-    leader = min(winners, key=lambda n: position.get(n, fallback))
-    return solutions[leader]
+    return solutions[min(solutions, key=rank)]
 
 
 @dataclass
@@ -559,11 +553,12 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
     the run has one.
 
     ``reviews`` are the agents' self-review jobs from ``_start_jobs``, one
-    per agent in ``agents`` order, possibly still running. Each presenter
-    waits for its own review alone. The chain stops before the first
-    presenter whose review raised a GatewayError; the review records are
-    then merged in agent order, the presentations made after them, and the
-    first review error in agent order is raised.
+    per agent in ``agents`` order, possibly still running. The presentations
+    are one more job after them: each presenter waits for its own review
+    alone, and the chain stops before the first presenter whose review
+    raised a GatewayError. ``_finish_jobs`` then merges the review records in
+    agent order and the presentations after them, and raises the first error
+    in that order, so a self-review's error wins over a presentation's.
     """
     if not agents or any(a.current_solution is None for a in agents):
         raise ValueError("peer_review requires agents with solutions")
@@ -573,26 +568,23 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
     presentation_order = [a.name for a in order]
 
     review_of = dict(zip((a.name for a in agents), reviews))
-    presenting = replace(run, recorder=TraceRecorder())
     frozen: set[str] = set()
     rationales: dict[str, str] = {}
     presented: dict[str, Answer] = {}
-    try:
+
+    def present(job: PanelRun) -> None:
         for agent in order:
             if agent.name in review_of and review_of[agent.name].result()[2] is not None:
-                break
+                return
             try:
                 agent.current_solution, rationales[agent.name] = _exchange(
-                    presenting, agent, Stage.PRESENT, prior_solution=agent.current_solution.raw,
+                    job, agent, Stage.PRESENT, prior_solution=agent.current_solution.raw,
                     peer_solutions=_format_peers(presented, rationales))
             except StageFailed:
                 frozen.add(agent.name)
             presented[agent.name] = agent.current_solution
-    finally:
-        try:
-            _finish_jobs(run, reviews)
-        finally:
-            run.recorder.merge(presenting.recorder)
+
+    _finish_jobs(run, [*reviews, _submit(run, present)])
 
     shared = consensus_check(presented)
     if shared is not None:
@@ -637,11 +629,11 @@ def run_panel(
     the trace keeps every record and counts every call made, and carries the
     error of the first failing agent in agent order. A failed self-review
     stops the presentations before its agent presents, and the presentations
-    already made stay in the trace after every review record. When the
-    backend is ``order_independent`` the agents of every phase but the
-    presentations run concurrently, and the presentations start while the
-    self-reviews still run, each presenter once its own review is done; the
-    trace is the same either way.
+    already made stay in the trace after every review record; a self-review's
+    error wins over a presentation's. When the backend is ``order_independent``
+    every phase runs its agents concurrently, and the presentation chain starts
+    while the self-reviews still run, each presenter once its own review is
+    done; the trace is the same either way.
     """
     agents = [AgentState(persona=p) for p in config.panel.members]
     first_solve = investigate if StageName.INVESTIGATION in config.stages else direct_solve

@@ -76,16 +76,6 @@ class Stage(str, Enum):
     DELIBERATE = "deliberate"
 
 
-# Placeholders each stage's body must reference. The system scaffold always
-# takes {persona} and {task_description} on top of these.
-STAGE_PLACEHOLDERS: dict[Stage, frozenset[str]] = {
-    Stage.ASSESS: frozenset({"flattened_input", "query"}),
-    Stage.SOLVE: frozenset({"flattened_input", "query", "complexity", "notes"}),
-    Stage.VERIFY: frozenset({"flattened_input", "query", "prior_solution"}),
-    Stage.PRESENT: frozenset({"flattened_input", "query", "prior_solution", "peer_solutions"}),
-    Stage.DELIBERATE: frozenset({"flattened_input", "query", "prior_solution", "peer_solutions"}),
-}
-
 _SYSTEM_EXTRAS = frozenset({"persona", "task_description"})
 
 
@@ -195,6 +185,12 @@ _DEFAULT_BODIES: dict[Stage, str] = {
 }
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
+
+# Placeholders each stage's body must reference: those of its default body.
+# The system scaffold always takes {persona} and {task_description} on top of
+# these.
+STAGE_PLACEHOLDERS: dict[Stage, frozenset[str]] = {
+    stage: frozenset(_PLACEHOLDER_RE.findall(body)) for stage, body in _DEFAULT_BODIES.items()}
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,14 @@ class TaskKind:
         return cls(AnswerMode.SQL_DENOTATION)
 
 
+def items_of(value: Iterable, what: str) -> Iterable:
+    """``value``, a field that holds a sequence. A string there is a
+    ValueError: it would split into one item per character."""
+    if isinstance(value, str):
+        raise ValueError(f"{what} must be a list, not the string {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Table:
     """A relational table: headers plus row-major cells.
@@ -73,13 +81,13 @@ class Table:
     caption: Optional[str] = None
 
     def __post_init__(self) -> None:
-        headers = tuple(str(h) for h in self.headers)
+        headers = tuple(str(h) for h in items_of(self.headers, "header"))
         if not headers:
             raise ValueError("table must have at least one header")
         width = len(headers)
         padded = []
-        for i, row in enumerate(self.rows):
-            cells = tuple(str(c) for c in row)
+        for i, row in enumerate(items_of(self.rows, "rows")):
+            cells = tuple(str(c) for c in items_of(row, "each row"))
             if len(cells) > width:
                 raise ValueError(f"row {i} has {len(cells)} cells, header has {width}")
             if len(cells) < width:
@@ -96,7 +104,8 @@ class ContextPassages:
     passages: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "passages", tuple(str(p) for p in self.passages))
+        passages = items_of(self.passages, "passages")
+        object.__setattr__(self, "passages", tuple(str(p) for p in passages))
 
     def __len__(self) -> int:
         return len(self.passages)

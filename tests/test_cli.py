@@ -226,7 +226,9 @@ class TestBench:
                 with lock:
                     first = task == 0 and 0 not in calls
                     calls.append(task)
-                time.sleep(0.01)
+                # Every other call outlasts the first, so no task ends and frees
+                # a worker in the moment before the main thread sees the interrupt.
+                time.sleep(0.01 if first else 0.05)
                 if first:  # Ctrl-C once the main thread waits, while this task runs on
                     signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
                     time.sleep(0.1)
@@ -446,13 +448,13 @@ def _jsonl(*records) -> str:
 
 
 def _tatqa(table: list, question: str = "What was the revenue?",
-           uids: tuple = ("q1",)) -> tuple[str, dict]:
-    block = {"table": {"table": table}, "paragraphs": [],
+           uids: tuple = ("q1",), paragraphs: object = ()) -> tuple[str, dict]:
+    block = {"table": {"table": table}, "paragraphs": paragraphs,
              "questions": [{"uid": uid, "question": question, "answer": "1"} for uid in uids]}
     return "tatqa", {"bad.json": json.dumps([block])}
 
 
-def _wikisql(header: list, rows: list, question: str = "Which year?",
+def _wikisql(header: list, rows: object, question: str = "Which year?",
              ids: tuple = ("w1",)) -> tuple[str, dict]:
     return "wikisql", {
         "bad.jsonl": _jsonl(*({"id": i, "question": question, "table_id": "t",
@@ -461,10 +463,11 @@ def _wikisql(header: list, rows: list, question: str = "Which year?",
     }
 
 
-def _feverous(header: list, rows: list, claim: str = "It rose.",
-              gold_evidence: object = (("e1",),), retrieved: object = ("e1",)) -> tuple[str, dict]:
+def _feverous(header: object, rows: object, claim: str = "It rose.",
+              gold_evidence: object = (("e1",),), retrieved: object = ("e1",),
+              sentences: object = ()) -> tuple[str, dict]:
     record = {"id": "f1", "claim": claim, "label": "SUPPORTS",
-              "table": {"header": header, "rows": rows}, "sentences": [],
+              "table": {"header": header, "rows": rows}, "sentences": sentences,
               "gold_evidence": gold_evidence}
     return "feverous", {"bad.jsonl": _jsonl(record),
                         "bad.retrieved.jsonl": _jsonl({"id": "f1", "retrieved": retrieved})}
@@ -478,6 +481,16 @@ def _semtabfacts(cells: str, statement: str = "It rose.") -> tuple[str, dict]:
 
 
 OPENAI = {"type": "openai", "base_url": "http://127.0.0.1:9/v1", "model_name": "m"}
+
+# A string where a list belongs would load one item per character.
+STRING_SHAPED = {
+    "dataset-tatqa-paragraphs-str": ("dataset", _tatqa([["a"], ["1"]], paragraphs="text")),
+    "dataset-wikisql-rows-str": ("dataset", _wikisql(["Year"], "12")),
+    "dataset-feverous-sentences-str": ("dataset", _feverous(["Year"], [["2019"]],
+                                                            sentences="It rose.")),
+    "dataset-feverous-header-str": ("dataset", _feverous("ab", [["1", "2"]])),
+    "dataset-feverous-row-str": ("dataset", _feverous(["Year", "Value"], ["xy"])),
+}
 
 # Wrong shapes and values, per input file: (command, file contents). A
 # dataset's contents are its kind and its files, the first one the dataset.
@@ -530,6 +543,11 @@ MALFORMED = {
     "backend-strict-false": ("backend", {"type": "scripted", "strict": False,
                                          "script": [{"response": "hi"}]}),
     "backend-fallback": ("backend", {"type": "scripted", "fallback": "hi", "script": []}),
+    # A misspelt key would give an empty script, or an entry that matches every request.
+    "backend-unknown-key": ("backend", {"type": "scripted",
+                                        "scrpt": [{"response": "hi", "repeat": None}]}),
+    "backend-unknown-entry-key": ("backend", {"type": "scripted", "script": [
+        {"response": "hi", "matcher": "ANSWER", "repeat": None}]}),
     "backend-max-retries-float": ("backend", {**OPENAI, "max_retries": 1.5}),
     "backend-temperature-negative": ("backend", {**OPENAI, "temperature": -1}),
     **{f"backend-{name}-{value}": ("backend", {**OPENAI, name: value}) for name, value in (
@@ -554,6 +572,7 @@ MALFORMED = {
     "dataset-feverous-retrieved-str": ("dataset", _feverous(["Year"], [["2019"]], retrieved="e1")),
     "dataset-semtabfacts-row-too-long": ("dataset", _semtabfacts("<cell>1</cell><cell>2</cell>")),
     "dataset-semtabfacts-blank-statement": ("dataset", _semtabfacts("<cell>1</cell>", " ")),
+    **STRING_SHAPED,
     "dataset-tatqa-duplicate-uid": ("dataset", _tatqa([["a"], ["1"]], uids=("q1", "q1"))),
     "dataset-wikisql-duplicate-id": ("dataset", _wikisql(["Year"], [["2019"]], ids=("w1", "w1"))),
     "score-dataset-tatqa-duplicate-uid": ("score-dataset",
@@ -599,6 +618,10 @@ def test_malformed_input_file_exits_1_without_traceback(tmp_path, case):
                           str(tmp_path / next(iter(files)))],
     }[command]
     err = _assert_exits_1_without_traceback(argv)
+    if "unknown" in case and command == "backend":
+        assert err.startswith("error: bad backend config: ") and "unknown key" in err
+    if case in STRING_SHAPED:
+        assert "must be a list, not the string" in err
     if "duplicate" in case:
         assert err.startswith("error: cannot load dataset: duplicate task id ")
 

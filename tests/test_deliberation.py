@@ -600,14 +600,15 @@ def adversarial_policy(persona, stage, turn, repeat, reask: bool = False) -> str
 PLANNED_CHOICES = 32  # a fault plan's choice for a call is one of range(32)
 
 
-def planned_reply(stage: Stage, choice: int) -> str:
+def planned_reply(stage: Stage, choice: int, alphabet: tuple[str, str, str]) -> str:
     """The reply a fault plan gives: choice 31 is a transport error, 28-30 a
-    reply that breaks every stage's contract, and any other a good reply."""
+    reply that breaks every stage's contract, and any other a good reply
+    whose answer is drawn from ``alphabet``."""
     if choice == PLANNED_CHOICES - 1:
         raise TransportError("planned fault")
     if choice >= PLANNED_CHOICES - 4:
         return "no marker"
-    answer = f"ANSWER: {('B-1', 'C-2', 'D-3')[choice % 3]}"
+    answer = f"ANSWER: {alphabet[choice % 3]}"
     return {
         Stage.ASSESS: assessment_text(("basic", "complex")[choice % 2]),
         Stage.SOLVE: answer,
@@ -749,6 +750,30 @@ class TestConcurrentPanel:
             + [(a, "present") for a in ("Albert Einstein", "Marie Curie", "Alan Turing")])
         assert panel_threads() == []
 
+    def test_a_self_review_error_wins_over_a_presentation_error(self, qa_task):
+        def policy(persona, stage, turn, repeat):
+            if stage is Stage.PRESENT and persona == "Marie Curie":
+                raise TransportError("curie present failed")
+            if stage is Stage.VERIFY and persona == "Nikola Tesla":
+                time.sleep(0.03)  # fails after Curie's presentation, Curie presenting second
+                raise TransportError("tesla review failed")
+            return unanimous_policy(persona, stage, turn, repeat)
+
+        config = ablation_presets(seed=3)["full"]
+        agents = [p.name for p in config.panel.members]
+        lines = set()
+        for independent in (False, True):
+            trace = run_panel(qa_task, config, PolicyBackend(policy, order_independent=independent))
+            lines.add(trace.to_json_line())
+            assert not trace.complete and trace.final is None
+            assert trace.error == "TransportError: tesla review failed"
+            assert trace.llm_calls == 10 + 5 + 2
+            # Every review record first, then Einstein's presentation.
+            assert [(r.agent, r.stage) for r in trace.records[10:]] == (
+                [(a, "verify") for a in agents if a != "Nikola Tesla"]
+                + [("Albert Einstein", "present")])
+        assert len(lines) == 1
+
     def test_unlimited_script_fans_out_with_the_sequential_trace(self, qa_task):
         calls = []
 
@@ -765,9 +790,9 @@ class TestConcurrentPanel:
         config = ablation_presets(seed=3)["full"]
         trace = run_panel(qa_task, config, backend)
         assert trace.outcome == OUTCOME_UNANIMOUS_INITIAL and len(calls) == trace.llm_calls == 20
-        # Presentations stay on the calling thread; every other call ran on the pool.
-        assert {(stage, thread.startswith(PANEL_THREAD_PREFIX)) for stage, thread in calls} == {
-            (Stage.ASSESS, True), (Stage.SOLVE, True), (Stage.VERIFY, True), (Stage.PRESENT, False)}
+        # Every call ran on a panel thread, the presentations' included.
+        assert {stage for stage, _ in calls} == set(Stage) - {Stage.DELIBERATE}
+        assert all(thread.startswith(PANEL_THREAD_PREFIX) for _, thread in calls)
         sequential = run_panel(qa_task, config, PolicyBackend(unanimous_policy, order_independent=False))
         assert trace.to_json_line() == sequential.to_json_line()
 
@@ -797,32 +822,39 @@ class TestConcurrentPanel:
         assert trace.llm_calls == len(backend.spans) == 5 + 3
         assert panel_threads() == []
 
-    @settings(max_examples=200, deadline=None)
+    # A fact-verification alphabet holds an unmapped label, which still votes.
+    ALPHABETS = {QA: ("B-1", "C-2", "D-3"), FACT: ("entailed", "refuted", "maybe")}
+
+    @settings(max_examples=300, deadline=None)
     @given(preset=st.sampled_from(list(ablation_presets())), seed=st.integers(0, 3),
            t_max_self=st.integers(1, 3), t_max_panel=st.integers(1, 3),
-           format_retry=st.integers(0, 2), data=st.data())
+           format_retry=st.integers(0, 2), kind=st.sampled_from([QA, FACT]), data=st.data())
     def test_fan_out_trace_equals_the_sequential_one_under_any_fault_plan(
-            self, preset, seed, t_max_self, t_max_panel, format_retry, data):
+            self, preset, seed, t_max_self, t_max_panel, format_retry, kind, data):
         config = dataclasses.replace(ablation_presets(seed)[preset], t_max_self=t_max_self,
                                      t_max_panel=t_max_panel, format_retry=format_retry)
-        plan = {}  # (persona, stage, turn, repeat) -> its choice for planned_reply
+        alphabet = self.ALPHABETS[kind]
+        plan = {}  # (persona, stage, turn, repeat) -> its reply choice and its delay in s
 
         def drawing(persona, stage, turn, repeat):
-            # The sequential run draws each call's reply when it first asks.
+            # The sequential run draws each call's reply and delay when it first asks.
             key = (persona, stage, turn, repeat)
             if key not in plan:
-                plan[key] = data.draw(st.integers(0, PLANNED_CHOICES - 1), label=f"reply to {key}")
-            return planned_reply(stage, plan[key])
+                plan[key] = (data.draw(st.integers(0, PLANNED_CHOICES - 1), label=f"reply to {key}"),
+                             data.draw(st.integers(0, 20), label=f"delay of {key}") * 1e-4)
+            return planned_reply(stage, plan[key][0], alphabet)
 
         def planned(persona, stage, turn, repeat):
-            return planned_reply(stage, plan.get((persona, stage, turn, repeat), 0))
+            choice, delay = plan.get((persona, stage, turn, repeat), (0, 0.0))
+            time.sleep(delay)
+            return planned_reply(stage, choice, alphabet)
 
-        task = make_task()
+        task = make_task(kind)
         sequential = run_panel(task, config, PolicyBackend(drawing, order_independent=False))
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            backend = PolicyBackend(planned, delay=lambda persona: len(persona) % 3 * 2e-4)
+            backend = PolicyBackend(planned)
             fanned_out = run_panel(task, config, backend)
         finally:
             sys.setswitchinterval(switch_interval)

@@ -34,6 +34,16 @@ class TestTable:
         with pytest.raises(ValueError):
             Table(headers=(), rows=())
 
+    @pytest.mark.parametrize("build", [
+        lambda: Table(headers="ab", rows=()),
+        lambda: Table(headers=("a",), rows="12"),
+        lambda: Table(headers=("a", "b"), rows=("xy",)),
+        lambda: ContextPassages("text"),
+    ])
+    def test_a_string_where_a_list_belongs_is_rejected(self, build):
+        with pytest.raises(ValueError, match="must be a list, not the string"):
+            build()
+
     def test_query_must_be_nonempty(self):
         with pytest.raises(ValueError):
             Query("   ")
