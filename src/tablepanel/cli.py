@@ -59,9 +59,10 @@ def _now() -> str:
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of a UTF-8 input file; a CliError when it cannot be read."""
+    """The text of a UTF-8 input file, a leading byte-order mark dropped; a
+    CliError when it cannot be read."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise CliError(f"{what} file not found: {path}", 1)
     except (OSError, UnicodeDecodeError) as exc:
@@ -156,7 +157,8 @@ def _read_table_file(path: str) -> tuple[Table, ContextPassages]:
     text = _read_text(path, "table")
     try:
         if Path(path).suffix.lower() == ".csv":
-            rows = list(csv.reader(io.StringIO(text, newline="")))
+            # A blank line is an empty record, not a row; a quoted "" is a row.
+            rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
             if not rows:
                 raise ValueError("empty CSV file")
             return Table(headers=tuple(rows[0]), rows=tuple(tuple(r) for r in rows[1:])), ContextPassages()

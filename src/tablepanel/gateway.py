@@ -2,10 +2,11 @@
 
 Two implementations: a live OpenAI-compatible HTTP backend (keep-alive
 HTTP/1.1 connections on plain sockets, TLS from ``ssl`` for ``https``, a
-proxy from the ``*_proxy`` environment variables; retries with exponential
-backoff on 429/5xx/transport errors) and a deterministic scripted backend
-for tests. Both are safe to share across threads. ``ssl`` is imported only
-when an ``https`` backend is built.
+proxy from the environment by the running Python's ``urllib`` rules; retries
+with exponential backoff on 429/5xx/transport errors) and a deterministic
+scripted backend for tests. Both are safe to share across threads. ``ssl``
+is imported only when an ``https`` backend is built, and ``urllib.request``
+only when the endpoint's scheme has a ``<scheme>_proxy`` variable.
 
 A script entry answers ``repeat`` matching calls in arrival order, or every
 matching call when ``repeat`` is None; a script of such unlimited entries is
@@ -34,7 +35,6 @@ _ROLES = ("system", "user", "assistant")
 _USER_AGENT = f"tablepanel/{__version__}"
 _MAX_LINE = 65536  # bytes in a status, header or chunk-size line, as in http.client
 _MAX_HEADERS = 100  # lines in a reply's header block, its blank line included, as in http.client
-_PORT = re.compile(r"(.*):([0-9]*)", re.S)
 _UNSAFE_IN_URL = re.compile(r"[\x00-\x20\x7f]")
 _UNSAFE_IN_KEY = re.compile(rb"[\x00-\x1f\x7f]")
 _TOKEN = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
@@ -236,47 +236,6 @@ def _head(start_line: str, fields: dict[str, str]) -> bytes:
     return "".join(lines).encode("ascii")
 
 
-def _environment_proxies() -> dict[str, str]:
-    """Proxy URLs by scheme from the ``<scheme>_proxy`` variables (``no``
-    holds ``NO_PROXY``), read as ``urllib.request.getproxies_environment``
-    reads them: a name in any case, a lower-case ``_proxy`` name winning (an
-    empty one unsets its scheme), and ``HTTP_PROXY`` ignored when
-    ``REQUEST_METHOD`` is set, since a CGI server may have set it from a
-    client's ``Proxy`` header."""
-    proxies: dict[str, str] = {}
-    for name, value in os.environ.items():
-        if value and (name := name.lower())[-6:] == "_proxy":
-            proxies[name[:-6]] = value
-    if "REQUEST_METHOD" in os.environ:
-        proxies.pop("http", None)
-    for name, value in os.environ.items():
-        if name[-6:] == "_proxy":
-            if value:
-                proxies[name.lower()[:-6]] = value
-            else:
-                proxies.pop(name.lower()[:-6], None)
-    return proxies
-
-
-def _bypasses_proxy(netloc: str, no_proxy: Optional[str]) -> bool:
-    """Whether ``NO_PROXY`` exempts ``host[:port]``, as
-    ``urllib.request.proxy_bypass_environment`` decides: ``*`` exempts every
-    host, and each comma-separated name, a leading dot ignored, matches
-    itself and its subdomains, with or without the port."""
-    if no_proxy is None:
-        return False
-    if no_proxy == "*":
-        return True
-    host = netloc.lower()
-    hostonly = match.group(1) if (match := _PORT.fullmatch(host)) else host
-    for name in no_proxy.split(","):
-        if name := name.strip():
-            name = name.lstrip(".").lower()
-            if name in (hostonly, host) or any(h.endswith("." + name) for h in (hostonly, host)):
-                return True
-    return False
-
-
 class _ConnectionPool:
     """Persistent HTTP/1.1 connections to one endpoint, each used by one
     thread at a time. A caller takes an idle connection or opens a new one and
@@ -287,10 +246,11 @@ class _ConnectionPool:
     endpoint; the pool writes each request in one ``sendall`` and reads the
     replies through one buffered reader per connection.
 
-    The proxy is read from ``HTTP(S)_PROXY``/``NO_PROXY`` once, here. An
-    ``https`` endpoint verifies certificates and host names against the
-    system trust store, and goes through a proxy by an HTTP/1.1 CONNECT
-    whose target is the host's IDNA form.
+    The proxy is read from the environment once, here, by urllib's
+    ``getproxies_environment`` and ``proxy_bypass_environment``. An ``https``
+    endpoint verifies certificates and host names against the system trust
+    store, and goes through a proxy by an HTTP/1.1 CONNECT whose target is the
+    host's IDNA form.
     """
 
     def __init__(self, base_url: str, timeout: float):
@@ -312,9 +272,17 @@ class _ConnectionPool:
         self.target = url.path.rstrip("/") + "/chat/completions"
         head = {"Host": _ascii_host(netloc), "Accept-Encoding": "identity",
                 "Content-Type": "application/json", "User-Agent": _USER_AGENT}
-        proxies = _environment_proxies()
-        proxy = proxies.get(url.scheme)
-        if proxy and not _bypasses_proxy(netloc, proxies.get("no")):
+        proxy = None
+        # urllib gives a scheme a proxy only from a non-empty <scheme>_proxy
+        # variable, so without one its import (about 30 ms) is skipped.
+        variable = f"{url.scheme}_proxy"
+        if any(value and name.lower() == variable for name, value in os.environ.items()):
+            from urllib.request import getproxies_environment, proxy_bypass_environment
+
+            proxies = getproxies_environment()
+            if not proxy_bypass_environment(netloc, proxies):
+                proxy = proxies.get(url.scheme)
+        if proxy:
             proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
             if not proxy_url.hostname:
                 raise ValueError(f"cannot parse the {url.scheme} proxy {proxy!r}")
@@ -330,7 +298,7 @@ class _ConnectionPool:
                                      {"Host": authority, **proxy_headers}) + b"\r\n"
             else:
                 # A forward proxy takes the absolute URL as the request target.
-                self.target = f"http://{netloc}{self.target}"
+                self.target = f"http://{head['Host']}{self.target}"
                 head.update(proxy_headers)
         if (not self.target.isascii() or _UNSAFE_IN_URL.search(self.target)
                 or _UNSAFE_IN_URL.search(head["Host"])):

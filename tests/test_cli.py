@@ -105,6 +105,18 @@ class TestAsk:
         table.write_text('Year,Trend\n2019,"up\u2028strongly"\n2020,flat\n', encoding="utf-8")
         assert _read_table_file(str(table))[0].rows == (("2019", "up\u2028strongly"), ("2020", "flat"))
 
+    def test_blank_csv_line_is_no_row(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text('Year,Revenue\n2019,100\n\n2020,120\n\n', encoding="utf-8")
+        assert _read_table_file(str(table))[0].rows == (("2019", "100"), ("2020", "120"))
+        table.write_text('Note\n""\nlast\n', encoding="utf-8")  # a quoted empty cell is a row
+        assert _read_table_file(str(table))[0].rows == (("",), ("last",))
+
+    def test_csv_byte_order_mark_is_not_data(self, tmp_path):
+        table = tmp_path / "t.csv"  # as Excel's "CSV UTF-8" export writes it
+        table.write_text("\ufeffYear,Revenue\n2019,100\n", encoding="utf-8")
+        assert _read_table_file(str(table))[0].headers == ("Year", "Revenue")
+
     def test_flattened_grammar_table_file(self, tmp_path, capsys):
         table_file = tmp_path / "t.txt"
         table_file.write_text("Caption: Demo\nA | B\n1 | 2\n", encoding="utf-8")
@@ -380,6 +392,16 @@ class TestConfigResolution:
         config = resolve_config(str(file))
         assert config.t_max_panel == 2
         assert len(config.panel) == 5
+
+    def test_config_and_backend_files_may_start_with_a_byte_order_mark(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text("\ufeff" + json.dumps({"preset": "full", "t_max_panel": 2}),
+                          encoding="utf-8")
+        assert resolve_config(str(config)).t_max_panel == 2
+        backend = tmp_path / "b.json"
+        script = {"type": "scripted", "script": [{"response": "x"}]}
+        backend.write_text("\ufeff" + json.dumps(script), encoding="utf-8")
+        assert build_backend(str(backend)).model_name == "scripted"
 
     def test_config_file_with_explicit_panel(self, tmp_path):
         file = tmp_path / "cfg.json"

@@ -837,14 +837,17 @@ def test_cli_import_leaves_requests_unloaded(tmp_path):
         print(json.dumps([after_import, after_http, after_https,
                           len(list(fixture(DatasetKind.SEMTABFACTS)))]))
     """
+    # A <scheme>_proxy variable would load urllib.request to read it.
+    env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
     result = subprocess.run([sys.executable, "-c", script, *map(str, files)],
-                            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                            env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
                             timeout=60)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[], [], ["ssl"], 10]
 
 
 _PROXY_ENVIRONMENTS = {
+    "empty": {},
     "either-case": {"HTTP_PROXY": "http://upper:1", "https_proxy": "http://lower:2"},
     "lower-case-wins": {"HTTPS_PROXY": "http://upper:1", "https_proxy": "http://lower:2"},
     "empty-lower-case-unsets": {"HTTPS_PROXY": "http://upper:1", "https_proxy": ""},
@@ -861,22 +864,51 @@ _NETLOCS = ["example.com", "api.example.com", "api.example.com:8443", "example.c
             "notexample.com", "EXAMPLE.COM", "127.0.0.1:8000", "[::1]:8000", "bücher.example"]
 
 
-@pytest.mark.parametrize("environment", list(_PROXY_ENVIRONMENTS))
-def test_proxy_environment_is_read_as_urllib_reads_it(monkeypatch, environment):
-    import urllib.request
-
+def set_proxy_environment(monkeypatch, environment: dict[str, str]) -> None:
     for name in list(os.environ):
         if name.lower().endswith("_proxy") or name == "REQUEST_METHOD":
             monkeypatch.delenv(name)
-    for name, value in _PROXY_ENVIRONMENTS[environment].items():
+    for name, value in environment.items():
         monkeypatch.setenv(name, value)
-    assert gateway._environment_proxies() == urllib.request.getproxies_environment()
+    # Routing does not read the trust store, whose loading would be most of these tests' time.
+    monkeypatch.setattr(ssl, "create_default_context",
+                        lambda: ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT))
+
+
+def assert_routed_as_urllib_routes(netloc: str) -> None:
+    """The ``http`` and ``https`` pools for ``netloc`` go through the proxy
+    that urllib gives their scheme unless urllib's ``NO_PROXY`` rule exempts
+    the host, whether or not the pool had to load urllib to decide."""
+    import urllib.request
+
+    proxies = urllib.request.getproxies_environment()
+    for scheme in ("http", "https"):
+        url = urllib.parse.urlsplit(f"{scheme}://{netloc}/v1")
+        pool = gateway._ConnectionPool(url.geturl(), 5.0)
+        address = (url.hostname, url.port or (443 if scheme == "https" else 80))
+        target, tunnelled = "/v1/chat/completions", False
+        proxy = proxies.get(scheme)
+        if proxy and not urllib.request.proxy_bypass_environment(netloc, proxies):
+            proxy_url = urllib.parse.urlsplit(proxy)
+            address = (proxy_url.hostname, proxy_url.port)
+            if scheme == "http":
+                target = f"http://{gateway._ascii_host(netloc)}{target}"
+            else:
+                tunnelled = True
+        assert (pool._address, pool.target, pool._tunnel is not None) == (
+            address, target, tunnelled), url.geturl()
+
+
+@pytest.mark.parametrize("environment", list(_PROXY_ENVIRONMENTS))
+def test_proxy_environment_is_read_as_urllib_reads_it(monkeypatch, environment):
+    set_proxy_environment(monkeypatch, _PROXY_ENVIRONMENTS[environment])
+    for netloc in _NETLOCS:
+        assert_routed_as_urllib_routes(netloc)
 
 
 @pytest.mark.parametrize("no_proxy", _NO_PROXY)
 @pytest.mark.parametrize("netloc", _NETLOCS)
-def test_no_proxy_is_matched_as_urllib_matches_it(netloc, no_proxy):
-    import urllib.request
-
-    assert (gateway._bypasses_proxy(netloc, no_proxy)
-            == urllib.request.proxy_bypass_environment(netloc, {"no": no_proxy}))
+def test_no_proxy_is_matched_as_urllib_matches_it(monkeypatch, netloc, no_proxy):
+    set_proxy_environment(monkeypatch, {"http_proxy": "http://p:1", "HTTPS_PROXY": "http://s:2",
+                                        "no_proxy": no_proxy})
+    assert_routed_as_urllib_routes(netloc)
