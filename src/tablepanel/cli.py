@@ -44,6 +44,7 @@ from .tables import (
     TaskInstance,
     TaskKind,
     UnknownLabel,
+    items_of,
     parse_flattened,
 )
 
@@ -124,8 +125,10 @@ def resolve_config(
 ) -> PipelineConfig:
     """A preset name, or a JSON file of PipelineConfig fields whose unset
     fields come from its ``preset`` (or, without one, PipelineConfig's
-    defaults; the name defaults to the file's stem). CLI flags (--seed,
-    --t-max) override values from either source."""
+    defaults; the name defaults to the file's stem). ``panel`` is a list of
+    {"name", "focus"} objects and ``stages`` a list of stage names; any other
+    key is an error. CLI flags (--seed, --t-max) override values from either
+    source."""
     presets = ablation_presets(seed if seed is not None else 0)
     flags = {name: value for name, value in (("ordering_seed", seed), ("t_max_panel", t_max_panel))
              if value is not None}
@@ -145,8 +148,16 @@ def resolve_config(
             raise CliError("pipeline config needs a 'panel' or a 'preset'", 1)
         changes = {"name": Path(name_or_path).stem}
         changes.update((f.name, data[f.name]) for f in fields(PipelineConfig) if f.name in data)
+        if "stages" in data:
+            changes["stages"] = items_of(data["stages"], "stages")
         if "panel" in data:
-            changes["panel"] = Panel(tuple(Persona(p["name"], p["focus"]) for p in data["panel"]))
+            members = []
+            for item in items_of(data["panel"], "panel"):
+                if not isinstance(item, dict):
+                    raise TypeError(f"panel member {item!r} is not an object")
+                _check_keys(item, {"name", "focus"}, f"panel member {item!r}: ")
+                members.append(Persona(item["name"], item["focus"]))
+            changes["panel"] = Panel(tuple(members))
         changes.update(flags)
         return replace(presets[base], **changes) if base is not None else PipelineConfig(**changes)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -97,7 +97,9 @@ class PipelineConfig:
     """Which stages run, with what iteration caps, over which panel.
 
     Every ablation row is one of these. ``format_retry`` is the number of
-    re-asks allowed when a reply fails its output-format contract.
+    re-asks allowed when a reply fails its output-format contract. Any set of
+    stages may go with any panel; ``run_panel`` states how a panel without
+    peer review ends.
     """
 
     panel: Panel
@@ -117,8 +119,6 @@ class PipelineConfig:
             raise InvalidConfig("t_max values must be >= 1")
         if self.format_retry < 0:
             raise InvalidConfig("format_retry must be >= 0")
-        if StageName.PEER_REVIEW not in self.stages and len(self.panel) != 1:
-            raise InvalidConfig("a panel larger than one requires the peer-review stage")
 
     def digest(self) -> str:
         payload = {
@@ -634,6 +634,13 @@ def run_panel(
     every phase runs its agents concurrently, and the presentation chain starts
     while the self-reviews still run, each presenter once its own review is
     done; the trace is the same either way.
+
+    Without the peer-review stage a panel ends on its solvers' answers, by
+    the rules peer review ends by: one shared answer is the outcome
+    ``UNANIMOUS_INITIAL``; otherwise ``majority_vote`` decides, ties going to
+    the member earlier in panel order, and the outcome is ``MAJORITY_VOTE``.
+    Such a trace has no presentation order and no rounds. A one-member panel
+    always ends unanimous.
     """
     agents = [AgentState(persona=p) for p in config.panel.members]
     first_solve = investigate if StageName.INVESTIGATION in config.stages else direct_solve
@@ -661,9 +668,10 @@ def run_panel(
             trace.final = result.final
         else:
             _finish_jobs(run, reviews)
-            # A lone answer is trivially unanimous.
-            trace.outcome = OUTCOME_UNANIMOUS_INITIAL
-            trace.final = solvers[0].current_solution
+            answers = {a.name: a.current_solution for a in solvers}
+            shared = consensus_check(answers)
+            trace.outcome = OUTCOME_MAJORITY_VOTE if shared is None else OUTCOME_UNANIMOUS_INITIAL
+            trace.final = shared or majority_vote(answers, ())
     except GatewayError as exc:
         trace.complete = False
         trace.error = f"{type(exc).__name__}: {exc}"

@@ -56,8 +56,7 @@ class Panel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
-        # Floor of 1 admits the single-agent pipeline configurations; peer
-        # review itself requires >= 2 members (enforced on the run config).
+        # Floor of 1 admits the single-agent pipeline configurations.
         if not 1 <= len(self.members) <= PANEL_SIZE_MAX:
             raise ValueError(f"panel must have between 1 and {PANEL_SIZE_MAX} members")
         names = [m.name for m in self.members]

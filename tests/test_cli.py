@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import tablepanel
-from tablepanel.cli import build_backend, main, resolve_config
+from tablepanel.cli import CliError, build_backend, main, resolve_config
 from tablepanel.datasets import DatasetKind, fixture
 from tablepanel.deliberation import PipelineConfig, StageName, ablation_presets
 from tablepanel.gateway import BackendConfig, ChatRequest, OpenAIChatBackend
@@ -59,6 +59,13 @@ def disagreeing_items() -> list[dict]:
     return items
 
 
+def vote_only_config(path: Path) -> str:
+    """``full`` without peer review: five answers, then the vote."""
+    path.write_text(json.dumps({"preset": "full", "stages": ["investigation", "self_review"]}),
+                    encoding="utf-8")
+    return str(path)
+
+
 def table_csv(path: Path) -> str:
     path.write_text("Year,Revenue\n2019,100\n2020,120\n", encoding="utf-8")
     return str(path)
@@ -72,6 +79,17 @@ class TestAsk:
                      "--backend", backend, "--seed", "3"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "120"
+
+    def test_five_member_panel_without_peer_review_answers(self, tmp_path, capsys):
+        backend = script_file(tmp_path / "b.json", unanimity_items("120"))
+        trace_path = tmp_path / "out.jsonl"
+        code = main(["ask", "--table", table_csv(tmp_path / "t.csv"), "--query", "revenue in 2020?",
+                     "--config", vote_only_config(tmp_path / "v.json"),
+                     "--backend", backend, "--trace", str(trace_path)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "120"
+        trace = json.loads(trace_path.read_text())
+        assert (trace["outcome"], trace["llm_calls"]) == ("UNANIMOUS_INITIAL", 15)
 
     def test_unknown_config_exits_1_and_names_presets(self, tmp_path, capsys):
         backend = script_file(tmp_path / "b.json", unanimity_items())
@@ -156,6 +174,20 @@ class TestBench:
         out2 = run_bench(tmp_path, "run2")
         assert (out1 / "traces.jsonl").read_bytes() == (out2 / "traces.jsonl").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+    def test_five_member_panel_without_peer_review_votes(self, tmp_path, capsys):
+        backend = script_file(tmp_path / "b.json", disagreeing_items()[:3])
+        out = tmp_path / "vote"
+        code = main(["bench", "tatqa", "fixture", "--limit", "2",
+                     "--config", vote_only_config(tmp_path / "v.json"),
+                     "--backend", backend, "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_name"] == "v"
+        assert manifest["totals"]["llm_calls"] == 30  # 5 x (assess, solve, verify) x 2 tasks
+        traces = [json.loads(l) for l in (out / "traces.jsonl").read_text().splitlines()]
+        assert [(t["outcome"], t["final"]["raw"], t["presentation_order"], t["rounds"])
+                for t in traces] == [("UNANIMOUS_INITIAL", "seed", [], [])] * 2
 
     def test_limit(self, tmp_path, capsys):
         backend = script_file(tmp_path / "b.json", unanimity_items("42"))
@@ -434,6 +466,13 @@ class TestConfigResolution:
             stages=frozenset({StageName.SELF_REVIEW}), t_max_self=2, t_max_panel=3,
             ordering_seed=4, format_retry=0, name="mine")
 
+    def test_panel_member_that_is_no_object_is_named(self, tmp_path):
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps({"panel": ["Ada"]}), encoding="utf-8")
+        with pytest.raises(CliError) as err:
+            resolve_config(str(file))
+        assert str(err.value) == "bad pipeline config: panel member 'Ada' is not an object"
+
     def test_scripted_backend_file(self, tmp_path):
         backend = build_backend(script_file(tmp_path / "b.json",
                                             [{"response": "hi", "repeat": 2}]))
@@ -512,6 +551,8 @@ STRING_SHAPED = {
                                                             sentences="It rose.")),
     "dataset-feverous-header-str": ("dataset", _feverous("ab", [["1", "2"]])),
     "dataset-feverous-row-str": ("dataset", _feverous(["Year", "Value"], ["xy"])),
+    "config-stages-str": ("config", {"preset": "full", "stages": "peer_review"}),
+    "config-panel-str": ("config", {"panel": "Ada"}),
 }
 
 # Wrong shapes and values, per input file: (command, file contents). A
@@ -550,6 +591,9 @@ MALFORMED = {
        for name, value in (("format_retry", 1.5), ("t_max_self", 1.5), ("t_max_panel", True),
                            ("ordering_seed", None), ("ordering_seed", [1]))},
     "config-persona-int": ("config", {"panel": [{"name": 5, "focus": "Check"}]}),
+    # A misspelt member key would be dropped without a word.
+    "config-persona-unknown-key": ("config", {"panel": [
+        {"name": "Ada", "focus": "Check the arithmetic", "fcous": "Probe the assumptions"}]}),
     "backend-list": ("backend", [1]),
     "backend-url-int": ("backend", {"type": "openai", "base_url": 5, "model_name": "m"}),
     "backend-response-int": ("backend", {"type": "scripted", "script": [{"response": 5}]}),
@@ -640,8 +684,9 @@ def test_malformed_input_file_exits_1_without_traceback(tmp_path, case):
                           str(tmp_path / next(iter(files)))],
     }[command]
     err = _assert_exits_1_without_traceback(argv)
-    if "unknown" in case and command == "backend":
-        assert err.startswith("error: bad backend config: ") and "unknown key" in err
+    if "unknown" in case and command in ("backend", "config"):
+        what = "backend" if command == "backend" else "pipeline"
+        assert err.startswith(f"error: bad {what} config: ") and "unknown key" in err
     if case in STRING_SHAPED:
         assert "must be a list, not the string" in err
     if "duplicate" in case:

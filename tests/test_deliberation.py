@@ -18,7 +18,6 @@ from tablepanel.deliberation import (
     PANEL_THREAD_PREFIX,
     AgentState,
     DeliberationTrace,
-    InvalidConfig,
     OUTCOME_CONSENSUS_ROUND,
     OUTCOME_MAJORITY_VOTE,
     OUTCOME_UNANIMOUS_INITIAL,
@@ -437,10 +436,6 @@ class TestRunPanel:
         assert trace.final.raw == "77"
         assert trace.llm_calls == 4
 
-    def test_multi_agent_without_peer_review_is_invalid(self):
-        with pytest.raises(InvalidConfig):
-            PipelineConfig(panel=default_panel(), stages=frozenset({StageName.SELF_REVIEW}))
-
     def test_failed_investigator_excluded_from_voting(self, qa_task):
         config = PipelineConfig(
             panel=default_panel(),
@@ -529,6 +524,86 @@ class TestRunPanel:
         assert len(trace.rounds) == 2
         presented_equal = len({a.normalized for a in trace.rounds[0].values()}) == 1
         assert not presented_equal
+
+
+class TestPanelWithoutPeerReview:
+    """A panel without peer review ends on its solvers' answers: unanimity,
+    or else the majority vote with ties going to panel order (Einstein,
+    Newton, Curie, Turing, Tesla)."""
+
+    CONFIG = dataclasses.replace(ablation_presets(seed=3)["full"],
+                                 stages=frozenset({StageName.INVESTIGATION, StageName.SELF_REVIEW}))
+    # The two members first in panel order hold the minority answer.
+    SPLIT = {"Albert Einstein": "C-2", "Isaac Newton": "C-2", "Marie Curie": "B-1",
+             "Alan Turing": "B-1", "Nikola Tesla": "B-1"}
+
+    def run_both_ways(self, task, policy, call_s: float = 0.0):
+        """The fan-out trace and its backend, whose calls each take
+        ``call_s``, once the sequential run has given the same trace."""
+        backend = PolicyBackend(policy, delay=lambda persona: call_s)
+        trace = run_panel(task, self.CONFIG, backend)
+        sequential = run_panel(task, self.CONFIG, PolicyBackend(policy, order_independent=False))
+        assert trace.to_json_line() == sequential.to_json_line()
+        assert trace.llm_calls == len(backend.spans)
+        return trace, backend
+
+    @staticmethod
+    def answering(answers: dict[str, str], fault=(None, None, None)):
+        """Everyone validates and a member solves ``answers[persona]``, but
+        ``fault``, a (persona, stage, reply) triple, makes each of that
+        persona's calls at that stage return ``reply()``."""
+        def policy(persona, stage, turn, repeat):
+            if (persona, stage) == fault[:2]:
+                return fault[2]()
+            if stage is Stage.SOLVE:
+                return f"ANSWER: {answers[persona]}"
+            return unanimous_policy(persona, stage, turn, repeat)
+        return policy
+
+    def test_five_agreeing_members_end_unanimous(self, qa_task):
+        trace, backend = self.run_both_ways(qa_task, unanimous_policy,
+                                            call_s=TestConcurrentPanel.CALL_S)
+        assert (trace.outcome, trace.final.raw, trace.consensus_round) == (
+            OUTCOME_UNANIMOUS_INITIAL, "B-1", None)
+        assert trace.presentation_order == [] and trace.rounds == []
+        assert trace.llm_calls == 15  # assess, solve and verify for each of five
+        assert critical_path(backend.spans) == 3
+
+    def test_three_to_two_split_goes_to_the_majority(self, qa_task):
+        trace, _ = self.run_both_ways(qa_task, self.answering(self.SPLIT))
+        assert (trace.outcome, trace.final.raw) == (OUTCOME_MAJORITY_VOTE, "B-1")
+        assert trace.complete and trace.presentation_order == [] and trace.rounds == []
+
+    def test_two_to_two_tie_goes_to_the_earlier_member(self, qa_task):
+        answers = {**self.SPLIT, "Marie Curie": "C-2"}  # 2:2 once Einstein drops out
+        fault = ("Albert Einstein", Stage.ASSESS, lambda: "no marker")
+        trace, _ = self.run_both_ways(qa_task, self.answering(answers, fault))
+        assert (trace.outcome, trace.final.raw) == (OUTCOME_MAJORITY_VOTE, "C-2")
+        assert trace.failed_agents == ["Albert Einstein"]
+        assert trace.llm_calls == 2 + 4 * 3  # Einstein's assess and its re-ask
+
+    def test_member_failing_self_review_still_votes_its_answer(self, qa_task):
+        fault = ("Nikola Tesla", Stage.VERIFY, lambda: "no marker")
+        trace, _ = self.run_both_ways(qa_task, self.answering(self.SPLIT, fault))
+        assert (trace.outcome, trace.final.raw) == (OUTCOME_MAJORITY_VOTE, "B-1")
+        assert trace.failed_agents == ["Nikola Tesla"]
+        assert [r.ok for r in trace.records if r.agent == "Nikola Tesla"] == [
+            True, True, False, False]
+        assert trace.llm_calls == 15 + 1
+
+    def test_transport_error_in_a_self_review_keeps_every_record(self, qa_task):
+        def unreachable():
+            raise TransportError("curie unreachable")
+
+        fault = ("Marie Curie", Stage.VERIFY, unreachable)
+        trace, _ = self.run_both_ways(qa_task, self.answering(self.SPLIT, fault))
+        assert not trace.complete and trace.final is None and trace.outcome is None
+        assert trace.error == "TransportError: curie unreachable"
+        agents = list(self.SPLIT)
+        assert [(r.agent, r.stage) for r in trace.records] == (
+            [(a, stage) for a in agents for stage in ("assess", "solve")]
+            + [(a, "verify") for a in agents if a != "Marie Curie"])
+        assert trace.llm_calls == 15  # the failed call counts
 
 
 class PolicyBackend:
@@ -826,12 +901,15 @@ class TestConcurrentPanel:
     ALPHABETS = {QA: ("B-1", "C-2", "D-3"), FACT: ("entailed", "refuted", "maybe")}
 
     @settings(max_examples=300, deadline=None)
-    @given(preset=st.sampled_from(list(ablation_presets())), seed=st.integers(0, 3),
-           t_max_self=st.integers(1, 3), t_max_panel=st.integers(1, 3),
+    @given(preset=st.sampled_from(list(ablation_presets())), peer_review=st.booleans(),
+           seed=st.integers(0, 3), t_max_self=st.integers(1, 3), t_max_panel=st.integers(1, 3),
            format_retry=st.integers(0, 2), kind=st.sampled_from([QA, FACT]), data=st.data())
     def test_fan_out_trace_equals_the_sequential_one_under_any_fault_plan(
-            self, preset, seed, t_max_self, t_max_panel, format_retry, kind, data):
-        config = dataclasses.replace(ablation_presets(seed)[preset], t_max_self=t_max_self,
+            self, preset, peer_review, seed, t_max_self, t_max_panel, format_retry, kind, data):
+        # Each preset also runs with peer review dropped: a panel that votes.
+        config = ablation_presets(seed)[preset]
+        stages = config.stages if peer_review else config.stages - {StageName.PEER_REVIEW}
+        config = dataclasses.replace(config, stages=stages, t_max_self=t_max_self,
                                      t_max_panel=t_max_panel, format_retry=format_retry)
         alphabet = self.ALPHABETS[kind]
         plan = {}  # (persona, stage, turn, repeat) -> its reply choice and its delay in s
