@@ -229,20 +229,6 @@ def _out_dir(path: Optional[str]) -> Optional[Path]:
     return Path(path)
 
 
-def _run_tasks(
-    tasks: Sequence[TaskInstance],
-    config: PipelineConfig,
-    backend: ChatBackend,
-    templates: PromptLibrary,
-    jobs: int,
-) -> list[DeliberationTrace]:
-    # Tasks run ``jobs`` at a time; each run_panel may fan its agents out over
-    # threads of its own (see deliberation). An interrupt stops the map, which
-    # cancels the tasks not yet started; the ones in flight finish.
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda task: run_panel(task, config, backend, templates), tasks))
-
-
 def _score(
     tasks: Sequence[TaskInstance], traces: Sequence[Optional[DeliberationTrace]]
 ) -> Optional[MetricReport]:
@@ -294,7 +280,11 @@ def _bench_once(
     templates: PromptLibrary,
     jobs: int,
 ) -> tuple[list[DeliberationTrace], Optional[MetricReport], list[str]]:
-    traces = _run_tasks(tasks, config, backend, templates, jobs)
+    # Tasks run ``jobs`` at a time; each run_panel may fan its agents out over
+    # threads of its own (see deliberation). An interrupt stops the map, which
+    # cancels the tasks not yet started; the ones in flight finish.
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        traces = list(pool.map(lambda task: run_panel(task, config, backend, templates), tasks))
     failures = [t.task_id for t in traces if not t.complete or t.final is None]
     report = _score(tasks, traces)
     return traces, report, failures

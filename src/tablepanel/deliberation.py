@@ -17,10 +17,12 @@ concurrently on one thread pool per run, one thread per agent. The
 presentations are one more job on that pool; they run in the shuffled order,
 because each presenter sees the earlier ones, and a presenter waits only for
 its own self-review. Without a pool every job runs at once in the calling
-thread. Either way a job works on a copy of the run with its own recorder,
-and one rule ends a phase: records merge in job order (the presentations
-after the self-reviews) and the first backend error in that order wins, so a
-trace is byte-identical to that of a sequential run.
+thread. Either way a job works on a copy of the run with its own recorder
+and reports only that recorder and its backend error, if any; what it did
+to its agents is on the agents. One rule ends a phase: records merge in job
+order (the presentations after the self-reviews) and the first backend
+error in that order wins, so a trace is byte-identical to that of a
+sequential run.
 Distinct runs may also execute concurrently against one shared backend.
 """
 
@@ -341,16 +343,18 @@ class PanelRun:
 def _submit(run: PanelRun, work: Callable[[PanelRun], object]) -> Future:
     """Run ``work(job)`` on a copy of ``run`` with its own recorder, on
     ``run.pool`` or else at once in the calling thread. The future holds the
-    job's recorder, its result (None when the work raised StageFailed) and
-    its GatewayError, if any, so a failing job never stops the others."""
-    def call() -> tuple[TraceRecorder, object, Optional[GatewayError]]:
+    job's recorder and its GatewayError, if any, so a failing job never stops
+    the others. A StageFailed ends the job quietly: the agent's
+    ``failed_stage`` already records it."""
+    def call() -> tuple[TraceRecorder, Optional[GatewayError]]:
         job = replace(run, recorder=TraceRecorder())
         try:
-            return job.recorder, work(job), None
+            work(job)
         except StageFailed:
-            return job.recorder, None, None
+            pass
         except GatewayError as exc:
-            return job.recorder, None, exc
+            return job.recorder, exc
+        return job.recorder, None
 
     if run.pool is not None:
         return run.pool.submit(call)
@@ -366,23 +370,23 @@ def _start_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
     return [_submit(run, lambda job, agent=agent: step(job, agent)) for agent in agents]
 
 
-def _finish_jobs(run: PanelRun, jobs: Sequence[Future]) -> list:
+def _finish_jobs(run: PanelRun, jobs: Sequence[Future]) -> None:
     """Wait for every job of a phase, merge their records and calls into
     ``run.recorder`` in the order of ``jobs``, then raise the first
-    GatewayError in that order, or return the jobs' results in that order."""
+    GatewayError in that order. What a job did to its agents is on the
+    agents themselves."""
     outcomes = [job.result() for job in jobs]
-    for own, _, _ in outcomes:
+    for own, _ in outcomes:
         run.recorder.merge(own)
-    for _, _, error in outcomes:
+    for _, error in outcomes:
         if error is not None:
             raise error
-    return [result for _, result, _ in outcomes]
 
 
 def _run_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
-              agents: Sequence[AgentState]) -> list:
+              agents: Sequence[AgentState]) -> None:
     """Run one phase to its end: ``_start_jobs``, then ``_finish_jobs``."""
-    return _finish_jobs(run, _start_jobs(run, step, agents))
+    _finish_jobs(run, _start_jobs(run, step, agents))
 
 
 def _notes_binding(notes: Optional[AnalyticalNotes]) -> str:
@@ -427,13 +431,13 @@ def _exchange(run: PanelRun, agent: AgentState, stage: Stage, **extra: str) -> o
     agent's ``failed_stage`` and raises StageFailed.
     """
     system, user = render_prompt(run.templates[stage], run.bindings(agent, **extra))
+    request = ChatRequest(
+        messages=(system, *agent.history, user),
+        model_name=run.backend.model_name,
+        temperature=run.backend.temperature,
+    )
     last_reason = "no attempts made"
     for _ in range(run.config.format_retry + 1):
-        request = ChatRequest(
-            messages=(system, *agent.history, user),
-            model_name=run.backend.model_name,
-            temperature=run.backend.temperature,
-        )
         run.recorder.calls += 1
         raw = run.backend.complete(request)
         try:
@@ -549,8 +553,9 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
     included, with a consensus check after each round and majority voting at
     the cap. An agent whose presentation or deliberation fails keeps its last
     answer, abstains from later rounds, and still counts in every consensus
-    check and vote. A round's agents run concurrently on ``run.pool`` when
-    the run has one.
+    check and vote. A round's agents are those whose ``failed_stage`` is
+    neither of these two, so one whose self-review failed deliberates in
+    every round. They run concurrently on ``run.pool`` when the run has one.
 
     ``reviews`` are the agents' self-review jobs from ``_start_jobs``, one
     per agent in ``agents`` order, possibly still running. The presentations
@@ -568,20 +573,19 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
     presentation_order = [a.name for a in order]
 
     review_of = dict(zip((a.name for a in agents), reviews))
-    frozen: set[str] = set()
     rationales: dict[str, str] = {}
     presented: dict[str, Answer] = {}
 
     def present(job: PanelRun) -> None:
         for agent in order:
-            if agent.name in review_of and review_of[agent.name].result()[2] is not None:
+            if agent.name in review_of and review_of[agent.name].result()[1] is not None:
                 return
             try:
                 agent.current_solution, rationales[agent.name] = _exchange(
                     job, agent, Stage.PRESENT, prior_solution=agent.current_solution.raw,
                     peer_solutions=_format_peers(presented, rationales))
             except StageFailed:
-                frozen.add(agent.name)
+                pass
             presented[agent.name] = agent.current_solution
 
     _finish_jobs(run, [*reviews, _submit(run, present)])
@@ -595,16 +599,14 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
     for round_no in range(1, run.config.t_max_panel + 1):
         peers = _format_peers(current, rationales)
 
-        def deliberate(job: PanelRun, agent: AgentState) -> AgentState:
+        def deliberate(job: PanelRun, agent: AgentState) -> None:
             agent.current_solution, _changed = _exchange(
                 job, agent, Stage.DELIBERATE, prior_solution=agent.current_solution.raw,
                 peer_solutions=peers)
-            return agent
 
-        active = [a for a in order if a.name not in frozen]
-        done = _run_jobs(run, deliberate, active)
-        frozen.update(a.name for a, d in zip(active, done) if d is None)
-        # A frozen agent's current solution is its answer of the previous round.
+        active = [a for a in order if a.failed_stage not in (Stage.PRESENT, Stage.DELIBERATE)]
+        _run_jobs(run, deliberate, active)
+        # An abstaining agent's current solution is its answer of the previous round.
         current = {a.name: a.current_solution for a in order}
         rounds.append(current)
         shared = consensus_check(current)

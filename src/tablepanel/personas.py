@@ -29,12 +29,6 @@ class PoolTooSmall(ValueError):
     """Random panel selection needs a pool of at least two personas."""
 
 
-class MissingBinding(KeyError):
-    def __init__(self, placeholder: str):
-        super().__init__(placeholder)
-        self.placeholder = placeholder
-
-
 class TemplateError(ValueError):
     """A template file that is not UTF-8 text, or a body whose placeholders
     are not its stage's."""
@@ -271,18 +265,14 @@ def task_description_for(kind: TaskKind) -> str:
 
 def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> list[ChatMessage]:
     """Render a stage prompt into [system, user] messages by pure
-    substitution. Raises MissingBinding if a referenced placeholder is
-    unbound."""
-    required = STAGE_PLACEHOLDERS[template.stage] | _SYSTEM_EXTRAS
-    for name in sorted(required):
-        if name not in bindings:
-            raise MissingBinding(name)
+    substitution. Raises KeyError, naming the placeholder, if one the
+    prompt references is unbound."""
     system = _SYSTEM_SCAFFOLD.format(
         persona=bindings["persona"],
         task_description=bindings["task_description"],
         output_contract=OUTPUT_CONTRACTS[template.stage],
     )
-    # Every placeholder a body holds is one checked above (see PromptTemplate).
+    # Every placeholder a body holds is its stage's (PromptTemplate checks).
     user = _PLACEHOLDER_RE.sub(lambda m: bindings[m.group(1)], template.body)
     return [ChatMessage("system", system), ChatMessage("user", user)]
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import random
 import re
 import sys
 import threading
@@ -606,6 +607,50 @@ class TestPanelWithoutPeerReview:
         assert trace.llm_calls == 15  # the failed call counts
 
 
+class TestAbstentionFollowsTheFailedStage:
+    """An agent that ran out of format retries in a presentation or a
+    deliberation abstains from every later round; one that ran out in its
+    self-review deliberates in every round. Every member holds its own name
+    as its answer, so the panel never converges and runs both rounds."""
+
+    CONFIG = dataclasses.replace(ablation_presets(seed=3)["full"], t_max_panel=2)
+
+    def run_both_ways(self, task, persona, failing):
+        def policy(name, stage, turn, repeat):
+            if (name, stage) == (persona, failing):
+                return "no marker"
+            if stage is Stage.VERIFY:
+                return "VERDICT: validated"
+            return adversarial_policy(name, stage, turn, repeat)
+
+        trace = run_panel(task, self.CONFIG, PolicyBackend(policy))
+        sequential = run_panel(task, self.CONFIG, PolicyBackend(policy, order_independent=False))
+        assert trace.to_json_line() == sequential.to_json_line()
+        assert (trace.outcome, len(trace.rounds), trace.final.raw) == (
+            OUTCOME_MAJORITY_VOTE, 2, "Albert Einstein")  # a five-way tie: the first presenter
+        assert trace.failed_agents == [persona]
+        return trace, [(r.stage, r.ok) for r in trace.records if r.agent == persona]
+
+    def test_failed_self_review_deliberates_in_both_rounds(self, qa_task):
+        trace, own = self.run_both_ways(qa_task, "Nikola Tesla", Stage.VERIFY)
+        assert own == [("assess", True), ("solve", True), ("verify", False), ("verify", False),
+                       ("present", True), ("deliberate", True), ("deliberate", True)]
+        assert trace.llm_calls == 10 + 4 + 2 + 5 + 2 * 5
+
+    def test_failed_presentation_abstains_from_both_rounds(self, qa_task):
+        trace, own = self.run_both_ways(qa_task, "Marie Curie", Stage.PRESENT)
+        assert own == [("assess", True), ("solve", True), ("verify", True),
+                       ("present", False), ("present", False)]
+        assert [r["Marie Curie"].raw for r in trace.rounds] == ["Marie Curie"] * 2
+        assert trace.llm_calls == 10 + 5 + 4 + 2 + 2 * 4
+
+    def test_failed_first_round_deliberation_abstains_from_the_second(self, qa_task):
+        trace, own = self.run_both_ways(qa_task, "Alan Turing", Stage.DELIBERATE)
+        assert own[-3:] == [("present", True), ("deliberate", False), ("deliberate", False)]
+        assert [r["Alan Turing"].raw for r in trace.rounds] == ["Alan Turing"] * 2
+        assert trace.llm_calls == 10 + 5 + 5 + (4 + 2) + 4
+
+
 class PolicyBackend:
     """An order-independent backend for tests. Its reply is a function of the
     persona, the stage contract, the agent's own history length (its turn)
@@ -691,6 +736,162 @@ def planned_reply(stage: Stage, choice: int, alphabet: tuple[str, str, str]) -> 
         Stage.PRESENT: f"RATIONALE: planned\n{answer}",
         Stage.DELIBERATE: f"POSITION: {('keep', 'change')[choice % 2]}\n{answer}",
     }[stage]
+
+
+class PlannedFault(Exception):
+    """A call that a fault plan answers with a transport error."""
+
+
+def reference_model(config: PipelineConfig, kind: TaskKind, alphabet: tuple[str, str, str],
+                    plan: dict) -> dict:
+    """What ``run_panel`` must record under a fault plan (see
+    ``planned_reply``), worked out from the rules the README states:
+
+    - Investigation assesses (when that stage is on), then solves. An agent
+      that runs out of format retries there leaves the panel.
+    - Self-review verifies; while the verdict is uncertain and refinements
+      remain, the agent re-assesses (whether or not investigation is on),
+      re-solves and verifies again. Running out of retries keeps the last
+      good answer, and the agent stays on the panel.
+    - Peer review: the solvers present in a seed-determined shuffle
+      (``random.Random(ordering_seed)``), each once its own self-review is
+      done. Unanimity ends the run; otherwise up to ``t_max_panel`` rounds
+      run, each followed by a consensus check, and then a majority vote
+      whose ties go to the earliest presenter. An agent that runs out of
+      retries in a presentation or a deliberation keeps its answer,
+      abstains from later rounds and still counts in every check and vote.
+    - Without peer review the solvers' answers meet the same end, ties going
+      to panel order.
+    - A re-ask repeats the request; only a good reply grows the agent's
+      history, which is the turn the plan is keyed by.
+    - A transport error ends the task once the rest of its phase is done.
+      One in a self-review stops the presentations before its agent.
+    """
+    members = [p.name for p in config.panel.members]
+    turn: Counter = Counter()  # each agent's good replies so far
+    arrivals: Counter = Counter()  # how often each (agent, stage, turn) was asked
+    records: list[tuple[str, str, bool]] = []
+    answer: dict[str, str] = {}
+    out_of_retries: set[str] = set()  # agents that ran out of format retries at some stage
+    calls = 0
+
+    def ask(name: str, stage: Stage):
+        """The choice of the agent's first good reply, or None when the
+        re-asks ran out; raises PlannedFault."""
+        nonlocal calls
+        for _ in range(config.format_retry + 1):
+            key = (name, stage, turn[name])
+            choice = plan.get((*key, arrivals[key]), (0, 0.0))[0]
+            arrivals[key] += 1
+            calls += 1
+            if choice == PLANNED_CHOICES - 1:
+                raise PlannedFault
+            good = choice < PLANNED_CHOICES - 4
+            records.append((name, stage.value, good))
+            if good:
+                turn[name] += 1
+                return choice
+        out_of_retries.add(name)
+        return None
+
+    def investigate(name: str, assess: bool = StageName.INVESTIGATION in config.stages) -> bool:
+        if assess and ask(name, Stage.ASSESS) is None:
+            return False
+        choice = ask(name, Stage.SOLVE)
+        if choice is not None:
+            answer[name] = alphabet[choice % 3]
+        return choice is not None
+
+    def self_review(name: str) -> None:
+        for refinement in range(config.t_max_self + 1):
+            if refinement and not investigate(name, assess=True):
+                return
+            verdict = ask(name, Stage.VERIFY)
+            if verdict is None or verdict % 2 == 0:  # out of retries, or validated
+                return
+
+    def phase(names, step) -> list[str]:
+        """Run every agent's step; the agents whose step hit a fault."""
+        faulty = []
+        for name in names:
+            try:
+                step(name)
+            except PlannedFault:
+                faulty.append(name)
+        return faulty
+
+    def ended(**end) -> dict:
+        return {"records": records, "llm_calls": calls,
+                "failed_agents": [n for n in members if n in out_of_retries],
+                "complete": "error" not in end, "error": None, "outcome": None,
+                "consensus_round": None, "final": None, "presentation_order": [], "rounds": [],
+                **end}
+
+    def vote(order: list[str], **end) -> dict:
+        """Unanimity, or else the most supported answer, ties going to the
+        supporter earliest in ``order``."""
+        normalized = {n: Answer.from_raw(answer[n], kind).normalized for n in order}
+        support = Counter(normalized.values())
+        if len(support) == 1:
+            return ended(outcome=OUTCOME_UNANIMOUS_INITIAL, final=answer[order[0]], **end)
+        winner = next(n for n in order if support[normalized[n]] == max(support.values()))
+        return ended(outcome=OUTCOME_MAJORITY_VOTE, final=answer[winner], **end)
+
+    fault = "TransportError: planned fault"
+    if phase(members, investigate):
+        return ended(error=fault)
+    solvers = [n for n in members if n in answer]
+    if not solvers:
+        return ended(error="no agent produced a solution")
+    faulty_reviews = phase(solvers, self_review) if StageName.SELF_REVIEW in config.stages else []
+    if StageName.PEER_REVIEW not in config.stages:
+        return ended(error=fault) if faulty_reviews else vote(solvers)
+
+    order = list(solvers)
+    random.Random(config.ordering_seed).shuffle(order)
+    abstaining = set()
+
+    def speak(name: str, stage: Stage) -> None:
+        choice = ask(name, stage)
+        if choice is None:
+            abstaining.add(name)
+        else:
+            answer[name] = alphabet[choice % 3]
+
+    try:
+        for name in order:
+            if name in faulty_reviews:
+                break
+            speak(name, Stage.PRESENT)
+    except PlannedFault:
+        return ended(error=fault)
+    if faulty_reviews:
+        return ended(error=fault)
+    result = vote(order, presentation_order=order)
+    if result["outcome"] == OUTCOME_UNANIMOUS_INITIAL:
+        return result
+
+    rounds = []
+    for round_no in range(1, config.t_max_panel + 1):
+        active = [n for n in order if n not in abstaining]
+        if phase(active, lambda name: speak(name, Stage.DELIBERATE)):
+            return ended(error=fault)
+        rounds.append({n: answer[n] for n in order})
+        result = vote(order, presentation_order=order, rounds=rounds)
+        if result["outcome"] == OUTCOME_UNANIMOUS_INITIAL:
+            return {**result, "outcome": OUTCOME_CONSENSUS_ROUND, "consensus_round": round_no}
+    return result
+
+
+def observed(trace: DeliberationTrace) -> dict:
+    """The fields of a trace that ``reference_model`` predicts."""
+    return {"records": [(r.agent, r.stage, r.ok) for r in trace.records],
+            "llm_calls": trace.llm_calls, "failed_agents": trace.failed_agents,
+            "complete": trace.complete, "error": trace.error, "outcome": trace.outcome,
+            "consensus_round": trace.consensus_round,
+            "final": trace.final.raw if trace.final else None,
+            "presentation_order": trace.presentation_order,
+            "rounds": [{n: a.raw for n, a in r.items()} for r in trace.rounds]}
 
 
 def critical_path(spans: list[tuple[float, float]]) -> int:
@@ -903,9 +1104,11 @@ class TestConcurrentPanel:
     @settings(max_examples=300, deadline=None)
     @given(preset=st.sampled_from(list(ablation_presets())), peer_review=st.booleans(),
            seed=st.integers(0, 3), t_max_self=st.integers(1, 3), t_max_panel=st.integers(1, 3),
-           format_retry=st.integers(0, 2), kind=st.sampled_from([QA, FACT]), data=st.data())
+           format_retry=st.integers(0, 2), kind=st.sampled_from([QA, FACT]), faults=st.booleans(),
+           data=st.data())
     def test_fan_out_trace_equals_the_sequential_one_under_any_fault_plan(
-            self, preset, peer_review, seed, t_max_self, t_max_panel, format_retry, kind, data):
+            self, preset, peer_review, seed, t_max_self, t_max_panel, format_retry, kind, faults,
+            data):
         # Each preset also runs with peer review dropped: a panel that votes.
         config = ablation_presets(seed)[preset]
         stages = config.stages if peer_review else config.stages - {StageName.PEER_REVIEW}
@@ -913,12 +1116,14 @@ class TestConcurrentPanel:
                                      t_max_panel=t_max_panel, format_retry=format_retry)
         alphabet = self.ALPHABETS[kind]
         plan = {}  # (persona, stage, turn, repeat) -> its reply choice and its delay in s
+        # Half the plans hold no transport error, so that more runs reach the panel's end.
+        choices = st.integers(0, PLANNED_CHOICES - (1 if faults else 2))
 
         def drawing(persona, stage, turn, repeat):
             # The sequential run draws each call's reply and delay when it first asks.
             key = (persona, stage, turn, repeat)
             if key not in plan:
-                plan[key] = (data.draw(st.integers(0, PLANNED_CHOICES - 1), label=f"reply to {key}"),
+                plan[key] = (data.draw(choices, label=f"reply to {key}"),
                              data.draw(st.integers(0, 20), label=f"delay of {key}") * 1e-4)
             return planned_reply(stage, plan[key][0], alphabet)
 
@@ -938,6 +1143,9 @@ class TestConcurrentPanel:
             sys.setswitchinterval(switch_interval)
         assert fanned_out.to_json_line() == sequential.to_json_line()
         assert fanned_out.llm_calls == len(backend.spans)
+        expected = reference_model(config, kind, alphabet, plan)
+        assert observed(sequential) == expected
+        assert observed(fanned_out) == expected
 
 
 class TestAblationPresets:
