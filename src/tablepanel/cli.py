@@ -35,7 +35,7 @@ from .gateway import (
     ScriptedBackend,
     ScriptEntry,
 )
-from .metrics import METRIC_NAMES, MetricReport, Prediction, score_run
+from .metrics import METRIC_NAMES, Prediction, score_run
 from .personas import Panel, Persona, PromptLibrary
 from .tables import (
     ContextPassages,
@@ -146,8 +146,8 @@ def resolve_config(
             raise CliError(f"unknown preset {base!r}; valid: {', '.join(presets)}", 1)
         if base is None and "panel" not in data:
             raise CliError("pipeline config needs a 'panel' or a 'preset'", 1)
-        changes = {"name": Path(name_or_path).stem}
-        changes.update((f.name, data[f.name]) for f in fields(PipelineConfig) if f.name in data)
+        changes = {f.name: data[f.name] for f in fields(PipelineConfig) if f.name in data}
+        changes["name"] = changes.get("name") or Path(name_or_path).stem
         if "stages" in data:
             changes["stages"] = items_of(data["stages"], "stages")
         if "panel" in data:
@@ -217,11 +217,9 @@ def _templates(args) -> PromptLibrary:
         raise CliError(f"bad templates in {args.templates}: {exc}", 1)
 
 
-def _out_dir(path: Optional[str]) -> Optional[Path]:
-    """Create the output directory (None: no output) before the backend is
-    built, so that an unwritable one costs no run."""
-    if path is None:
-        return None
+def _out_dir(path: str) -> Path:
+    """Create the output directory before the backend is built, so that an
+    unwritable one costs no run."""
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -231,9 +229,9 @@ def _out_dir(path: Optional[str]) -> Optional[Path]:
 
 def _score(
     tasks: Sequence[TaskInstance], traces: Sequence[Optional[DeliberationTrace]]
-) -> Optional[MetricReport]:
-    """The report over the tasks whose trace (None: no trace) completed with an
-    answer; None when no task did."""
+) -> Optional[dict]:
+    """The report, as ``report.json`` holds it, over the tasks whose trace
+    (None: no trace) completed with an answer; None when no task did."""
     scored = [(task, trace) for task, trace in zip(tasks, traces)
               if trace is not None and trace.complete and trace.final is not None]
     if not scored:
@@ -241,7 +239,7 @@ def _score(
     preds = [Prediction(task_id=task.id, answer=trace.final,
                         evidence_correct=task.evidence.correct if task.evidence is not None else None)
              for task, trace in scored]
-    return score_run(preds, [task for task, _ in scored])
+    return score_run(preds, [task for task, _ in scored]).to_json_dict()
 
 
 def _write_traces(path: Path, traces: Sequence[DeliberationTrace]) -> None:
@@ -273,38 +271,25 @@ def cmd_ask(args) -> int:
     return 0
 
 
-def _bench_once(
-    tasks: list[TaskInstance],
-    config: PipelineConfig,
-    backend: ChatBackend,
-    templates: PromptLibrary,
-    jobs: int,
-) -> tuple[list[DeliberationTrace], Optional[MetricReport], list[str]]:
-    # Tasks run ``jobs`` at a time; each run_panel may fan its agents out over
-    # threads of its own (see deliberation). An interrupt stops the map, which
-    # cancels the tasks not yet started; the ones in flight finish.
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        traces = list(pool.map(lambda task: run_panel(task, config, backend, templates), tasks))
-    failures = [t.task_id for t in traces if not t.complete or t.final is None]
-    report = _score(tasks, traces)
-    return traces, report, failures
-
-
-def cmd_bench(args) -> int:
-    tasks = _bench_tasks(args)
-    config = resolve_config(args.config, args.seed, args.t_max)
-    templates = _templates(args)
-    out = _out_dir(args.out)
-
+def _run(args, config: PipelineConfig, tasks: list[TaskInstance], templates: PromptLibrary,
+         out: Optional[Path]) -> tuple[dict, Optional[dict]]:
+    """Run ``tasks`` under ``config`` on a fresh backend and score them; the
+    run's manifest and report (None: no task scored). With ``out``, write
+    ``traces.jsonl``, ``report.json`` (or remove an earlier one) and, last,
+    ``manifest.json`` there."""
     with closing(build_backend(args.backend)) as backend:
         started = _now()
-        traces, report, failures = _bench_once(tasks, config, backend, templates, args.jobs)
+        # Tasks run ``--jobs`` at a time; each run_panel may fan its agents out
+        # over threads of its own (see deliberation). An interrupt stops the
+        # map, which cancels the tasks not yet started; the ones in flight finish.
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            traces = list(pool.map(lambda task: run_panel(task, config, backend, templates), tasks))
         finished = _now()
-
-    _write_traces(out / "traces.jsonl", traces)
+    failures = [t.task_id for t in traces if not t.complete or t.final is None]
+    report = _score(tasks, traces)
     # Reproducibility record for the run; never holds the API key.
     manifest = {
-        "config_name": config.name or args.config,
+        "config_name": config.name,
         "config_digest": config.digest(),
         "dataset": {"kind": args.kind, "path": str(args.path)},
         "backend": _backend_summary(backend),
@@ -317,15 +302,29 @@ def cmd_bench(args) -> int:
             "failed_task_ids": failures,
         },
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    if out is not None:  # the manifest goes last: it marks a finished run
+        (out / "manifest.json").unlink(missing_ok=True)
+        _write_traces(out / "traces.jsonl", traces)
+        if report is None:
+            (out / "report.json").unlink(missing_ok=True)
+        else:
+            (out / "report.json").write_text(json.dumps(report, sort_keys=True) + "\n",
+                                             encoding="utf-8")
+        (out / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    return manifest, report
+
+
+def cmd_bench(args) -> int:
+    tasks = _bench_tasks(args)
+    config = resolve_config(args.config, args.seed, args.t_max)
+    templates = _templates(args)
+    _, report = _run(args, config, tasks, templates, _out_dir(args.out))
     if report is None:
         print(json.dumps({"error": "all tasks failed"}, sort_keys=True))
         return 2
-    report_json = json.dumps(report.to_json_dict(), sort_keys=True)
-    (out / "report.json").write_text(report_json + "\n", encoding="utf-8")
-    print(report_json)
+    print(json.dumps(report, sort_keys=True))
     return 0
 
 
@@ -338,21 +337,20 @@ def _backend_summary(backend: ChatBackend) -> dict:
 def cmd_ablate(args) -> int:
     tasks = _bench_tasks(args)
     templates = _templates(args)
-    out = _out_dir(args.out)
+    configs = [resolve_config(name, args.seed, args.t_max) for name in ablation_presets()]
+    # Every row's directory is made before the first backend call.
+    outs = [None if args.out is None else _out_dir(str(Path(args.out, c.name)))
+            for c in configs]
+    if args.out is not None:  # an earlier run's rollup would outlive an interrupt
+        Path(args.out, "ablation.json").unlink(missing_ok=True)
     rows = []
-    for name in ablation_presets():
-        config = resolve_config(name, args.seed, args.t_max)
-        with closing(build_backend(args.backend)) as backend:  # fresh backend per preset row
-            traces, report, failures = _bench_once(tasks, config, backend, templates, args.jobs)
-        rows.append({
-            "preset": name,
-            "tasks": len(tasks),
-            "errors": len(failures),
-            "llm_calls": sum(t.llm_calls for t in traces),
-            "report": report.to_json_dict() if report else None,
-        })
-    if out is not None:
-        (out / "ablation.json").write_text(
+    for config, out in zip(configs, outs):  # a fresh backend per row
+        manifest, report = _run(args, config, tasks, templates, out)
+        totals = manifest["totals"]
+        rows.append({"preset": config.name, "report": report,
+                     **{key: totals[key] for key in ("tasks", "errors", "llm_calls")}})
+    if args.out is not None:
+        Path(args.out, "ablation.json").write_text(
             json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     _print_ablation_table(rows)
@@ -395,7 +393,7 @@ def cmd_score(args) -> int:
     report = _score(tasks, [by_id.get(task.id) for task in tasks])
     if report is None:
         raise CliError("no scorable traces for this dataset", 1)
-    print(json.dumps(report.to_json_dict(), sort_keys=True))
+    print(json.dumps(report, sort_keys=True))
     return 0
 
 

@@ -5,8 +5,9 @@ HTTP/1.1 connections on plain sockets, TLS from ``ssl`` for ``https``, a
 proxy from the environment by the running Python's ``urllib`` rules; retries
 with exponential backoff on 429/5xx/transport errors) and a deterministic
 scripted backend for tests. Both are safe to share across threads. ``ssl``
-is imported only when an ``https`` backend is built, and ``urllib.request``
-only when the endpoint's scheme has a ``<scheme>_proxy`` variable.
+is imported only when the first ``https`` backend is built, which loads the
+trust store for the whole process, and ``urllib.request`` only when the
+endpoint's scheme has a ``<scheme>_proxy`` variable.
 
 A script entry answers ``repeat`` matching calls in arrival order, or every
 matching call when ``repeat`` is None; a script of such unlimited entries is
@@ -16,6 +17,7 @@ a pure function of the request, so its runs fan out like the HTTP backend's.
 from __future__ import annotations
 
 import base64
+import functools
 import io
 import json
 import math
@@ -225,6 +227,15 @@ def _read_reply(reader: io.BufferedReader) -> tuple[int, dict[str, str], bytes, 
     return status, headers, _read_exactly(reader, int(length)), keep_alive
 
 
+@functools.cache
+def _trust_store():
+    """The TLS context of every ``https`` pool: the system trust store, loaded
+    (about 47 ms) once per process."""
+    import ssl
+
+    return ssl.create_default_context()
+
+
 def _ascii_host(netloc: str) -> str:
     """``host[:port]`` with a non-ASCII host in its IDNA form."""
     return netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")
@@ -260,11 +271,7 @@ class _ConnectionPool:
         host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
         netloc = url.netloc.rpartition("@")[2]
         self._timeout = timeout
-        self._context = None
-        if url.scheme == "https":
-            import ssl
-
-            self._context = ssl.create_default_context()
+        self._context = _trust_store() if url.scheme == "https" else None
         self._address = (host, port)
         self._tls_host = host
         self._tunnel: Optional[bytes] = None  # the CONNECT request's head

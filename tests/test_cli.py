@@ -231,6 +231,15 @@ class TestBench:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["totals"]["errors"] == 10
 
+    def test_run_that_scores_no_task_removes_an_earlier_report(self, tmp_path, capsys):
+        out = run_bench(tmp_path, "run", ["--limit", "2"])
+        assert json.loads((out / "report.json").read_text())["n"] == 2
+        empty = script_file(tmp_path / "empty.json", [])
+        assert main(["bench", "tatqa", "fixture", "--limit", "2", "--backend", empty,
+                     "--out", str(out)]) == 2
+        assert json.loads((out / "manifest.json").read_text())["totals"]["errors"] == 2
+        assert not (out / "report.json").exists()
+
     def test_jobs_flag_runs_all_tasks(self, tmp_path, capsys):
         backend = script_file(tmp_path / "b.json", unanimity_items("42"))
         out = tmp_path / "parallel"
@@ -379,6 +388,76 @@ class TestAblate:
         # 5 x (assess, solve, verify, present) plus 5 calls per deliberation round
         assert calls == {"1": 25, "3": 35}
 
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    @pytest.mark.parametrize("kind", [k.value for k in DatasetKind])
+    def test_each_row_directory_is_the_bench_run_of_its_preset(self, tmp_path, capsys, kind,
+                                                               jobs):
+        backend = tmp_path / "readme.json"
+        backend.write_text(readme_scripted_backend(), encoding="utf-8")
+        common = [kind, "fixture", "--limit", "2", "--seed", "5", "--jobs", jobs,
+                  "--backend", str(backend)]
+        assert main(["ablate", *common, "--out", str(tmp_path / "ablation")]) == 0
+        rows = json.loads((tmp_path / "ablation" / "ablation.json").read_text())
+        for row, preset in zip(rows, ablation_presets()):
+            out = tmp_path / "ablation" / preset
+            bench = tmp_path / "bench" / preset
+            assert main(["bench", *common, "--config", preset, "--out", str(bench)]) == 0
+            for name in ("traces.jsonl", "report.json"):
+                assert (out / name).read_bytes() == (bench / name).read_bytes(), (preset, name)
+            manifests = [json.loads((d / "manifest.json").read_text()) for d in (out, bench)]
+            for manifest in manifests:
+                del manifest["started"], manifest["finished"]
+            assert manifests[0] == manifests[1]
+            totals = manifests[0]["totals"]
+            assert row == {"preset": preset, "report": json.loads((out / "report.json").read_text()),
+                           "tasks": totals["tasks"], "errors": totals["errors"],
+                           "llm_calls": totals["llm_calls"]}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupt_in_the_third_row_keeps_the_finished_rows(self, tmp_path, monkeypatch,
+                                                                 jobs):
+        script = script_file(tmp_path / "b.json", unanimity_items("42"))
+        built = []
+        signalled = threading.Event()
+
+        class Interrupting:  # the third row's backend: Ctrl-C at its first call
+            model_name, temperature, order_independent = "scripted", 0.0, True
+
+            def __init__(self):
+                self.script = build_backend(script)
+
+            def complete(self, request: ChatRequest) -> str:
+                if not signalled.is_set():
+                    signalled.set()
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                    time.sleep(0.1)
+                return self.script.complete(request)
+
+            def close(self) -> None:
+                pass
+
+        def build(path: str):
+            built.append(path)
+            return Interrupting() if len(built) == 3 else build_backend(path)
+
+        monkeypatch.setattr("tablepanel.cli.build_backend", build)
+        out = tmp_path / "ablation"
+        out.mkdir()
+        (out / "ablation.json").write_text("[]\n", encoding="utf-8")  # an earlier run's
+        with pytest.raises(KeyboardInterrupt):
+            main(["ablate", "tatqa", "fixture", "--limit", "2", "--jobs", str(jobs),
+                  "--backend", script, "--out", str(out)])
+        assert len(built) == 3
+        first, second, third, *rest = ablation_presets()
+        for preset in (first, second):
+            manifest = json.loads((out / preset / "manifest.json").read_text())
+            assert manifest["totals"]["tasks"] == 2 and manifest["totals"]["errors"] == 0
+            assert len((out / preset / "traces.jsonl").read_text().splitlines()) == 2
+            assert json.loads((out / preset / "report.json").read_text())["n"] == 2
+        assert not (out / third / "manifest.json").exists()
+        assert all(not any((out / preset).iterdir()) for preset in (third, *rest))
+        assert not (out / "ablation.json").exists()
+
     def test_config_flag_is_rejected(self, tmp_path, capsys):
         backend = script_file(tmp_path / "b.json", unanimity_items("42"))
         with pytest.raises(SystemExit) as exc:
@@ -434,6 +513,13 @@ class TestConfigResolution:
         script = {"type": "scripted", "script": [{"response": "x"}]}
         backend.write_text("\ufeff" + json.dumps(script), encoding="utf-8")
         assert build_backend(str(backend)).model_name == "scripted"
+
+    @pytest.mark.parametrize("data", [{"preset": "full"}, {"preset": "full", "name": ""},
+                                      {"panel": [{"name": "Ada", "focus": "Check"}], "name": ""}])
+    def test_config_file_without_a_name_is_named_by_its_stem(self, tmp_path, data):
+        file = tmp_path / "mine.json"
+        file.write_text(json.dumps(data), encoding="utf-8")
+        assert resolve_config(str(file)).name == "mine"
 
     def test_config_file_with_explicit_panel(self, tmp_path):
         file = tmp_path / "cfg.json"
@@ -702,9 +788,11 @@ def test_non_positive_jobs_exits_1_without_traceback(tmp_path, command, jobs):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["ask", "ask-dir", "bench", "ablate"])
+@pytest.mark.parametrize("command", ["ask", "ask-dir", "bench", "ablate", "ablate-row"])
 def test_unwritable_output_exits_1_before_any_backend_call(tmp_path, command):
-    taken = tmp_path / "taken"
+    # ablate-row: a file takes the place of the ``full`` row's directory.
+    taken = tmp_path / "ablation" / "full" if command == "ablate-row" else tmp_path / "taken"
+    taken.parent.mkdir(exist_ok=True)
     taken.write_text("not a directory\n", encoding="utf-8")
     # Any backend call would be a backend error (exit 2).
     backend = script_file(tmp_path / "empty.json", [])
@@ -713,10 +801,12 @@ def test_unwritable_output_exits_1_before_any_backend_call(tmp_path, command):
         argv = ["ask", "--table", table_csv(tmp_path / "t.csv"), "--query", "q?",
                 "--trace", str(trace)]
     else:
-        argv = [command, "tatqa", "fixture", "--limit", "1", "--out", str(taken)]
+        out = taken.parent if command == "ablate-row" else taken
+        argv = [command.split("-")[0], "tatqa", "fixture", "--limit", "1", "--out", str(out)]
     err = _assert_exits_1_without_traceback([*argv, "--backend", backend])
     assert err.startswith("error: cannot write ")
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
+    assert not list(tmp_path.glob("**/traces.jsonl"))
 
 
 def test_unknown_config_key_exits_1_before_any_backend_call(tmp_path):

@@ -691,8 +691,10 @@ class TestTransport:
         upstream = urllib.parse.urlsplit(serve(_KeepAliveHandler, tls=certificate))
         monkeypatch.setattr(_ConnectProxy, "upstream", ("127.0.0.1", upstream.port))
         monkeypatch.setenv("HTTPS_PROXY", serve(_ConnectProxy))
+        # The pools that trust the certificate get contexts of their own: the
+        # process's trust store, which every other pool shares, stays as it is.
         trusting = keepalive_backend(f"https://localhost:{upstream.port}/v1")
-        trusting._pool._context.load_verify_locations(certificate)
+        trusting._pool._context = ssl.create_default_context(cafile=certificate)
         with closing(trusting):
             assert trusting.complete(req()) == "ok"
             assert trusting.complete(req()) == "ok"  # on the same tunnel
@@ -700,7 +702,7 @@ class TestTransport:
         assert len(_ConnectProxy.heads) == 1
         # The certificate names localhost only, and the default context does not trust it.
         wrong_name = keepalive_backend(f"https://127.0.0.1:{upstream.port}/v1")
-        wrong_name._pool._context.load_verify_locations(certificate)
+        wrong_name._pool._context = ssl.create_default_context(cafile=certificate)
         with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
             wrong_name.complete(req())
         with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
@@ -810,6 +812,18 @@ class TestBackendLifecycle:
         assert wait_until(lambda: _StubHandler.counts["closed"] == _StubHandler.counts["opened"])
 
 
+def test_https_backends_built_in_one_process_load_the_trust_store_once(monkeypatch):
+    loads = []
+    create = ssl.create_default_context
+    monkeypatch.setattr(ssl, "create_default_context", lambda: loads.append(1) or create())
+    gateway._trust_store.cache_clear()
+    first, second = (keepalive_backend(f"https://{host}:8443/v1")
+                     for host in ("127.0.0.1", "api.example.test"))
+    assert len(loads) == 1
+    assert first._pool._context is second._pool._context
+    assert first._pool._context.verify_mode == ssl.CERT_REQUIRED
+
+
 def test_cli_import_leaves_requests_unloaded(tmp_path):
     """The transport is plain sockets: importing the CLI and building an
     ``http`` backend must not pull in ``requests``, the standard library's
@@ -870,9 +884,9 @@ def set_proxy_environment(monkeypatch, environment: dict[str, str]) -> None:
             monkeypatch.delenv(name)
     for name, value in environment.items():
         monkeypatch.setenv(name, value)
-    # Routing does not read the trust store, whose loading would be most of these tests' time.
-    monkeypatch.setattr(ssl, "create_default_context",
-                        lambda: ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT))
+    # Routing does not read the trust store. A bare context of these pools' own
+    # keeps the process's shared one out of reach.
+    monkeypatch.setattr(gateway, "_trust_store", lambda: ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT))
 
 
 def assert_routed_as_urllib_routes(netloc: str) -> None:
