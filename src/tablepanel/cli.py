@@ -125,7 +125,7 @@ def resolve_config(
 ) -> PipelineConfig:
     """A preset name, or a JSON file of PipelineConfig fields whose unset
     fields come from its ``preset`` (or, without one, PipelineConfig's
-    defaults; the name defaults to the file's stem). ``panel`` is a list of
+    defaults; an absent or empty name is the file's stem). ``panel`` is a list of
     {"name", "focus"} objects and ``stages`` a list of stage names; any other
     key is an error. CLI flags (--seed, --t-max) override values from either
     source."""
@@ -147,7 +147,8 @@ def resolve_config(
         if base is None and "panel" not in data:
             raise CliError("pipeline config needs a 'panel' or a 'preset'", 1)
         changes = {f.name: data[f.name] for f in fields(PipelineConfig) if f.name in data}
-        changes["name"] = changes.get("name") or Path(name_or_path).stem
+        if changes.get("name") in (None, ""):
+            changes["name"] = Path(name_or_path).stem
         if "stages" in data:
             changes["stages"] = items_of(data["stages"], "stages")
         if "panel" in data:

@@ -13,16 +13,18 @@ and records. Every stage is a function of that run and its agents.
 Agents never read each other during investigation, self-review or any one
 deliberation round. When the backend declares that a reply depends on its
 request alone (``order_independent``), those phases run their agents' jobs
-concurrently on one thread pool per run, one thread per agent. The
-presentations are one more job on that pool; they run in the shuffled order,
-because each presenter sees the earlier ones, and a presenter waits only for
-its own self-review. Without a pool every job runs at once in the calling
-thread. Either way a job works on a copy of the run with its own recorder
-and reports only that recorder and its backend error, if any; what it did
-to its agents is on the agents. One rule ends a phase: records merge in job
-order (the presentations after the self-reviews) and the first backend
-error in that order wins, so a trace is byte-identical to that of a
-sequential run.
+concurrently on one thread pool per run, one thread per agent, and an
+agent's self-review starts in its thread as soon as its own investigation
+ends. The presentations are one more job on that pool; they run in the
+shuffled order, because each presenter sees the earlier ones, and a
+presenter waits only for its own self-review. Without a pool every job runs
+at once in the calling thread: every investigation, then every self-review.
+Either way a job works on a copy of the run with its own recorder and
+reports only that recorder and its backend error, if any; what it did to its
+agents is on the agents. One rule ends a phase: records merge in job order
+(the investigations, then the self-reviews, then the presentations) and the
+first backend error in that order wins, so a trace is byte-identical to that
+of a sequential run.
 Distinct runs may also execute concurrently against one shared backend.
 """
 
@@ -117,6 +119,8 @@ class PipelineConfig:
         for name in ("t_max_self", "t_max_panel", "ordering_seed", "format_retry"):
             if type(getattr(self, name)) is not int:
                 raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if type(self.name) is not str:
+            raise InvalidConfig(f"name must be a string, got {self.name!r}")
         if self.t_max_self < 1 or self.t_max_panel < 1:
             raise InvalidConfig("t_max values must be >= 1")
         if self.format_retry < 0:
@@ -340,13 +344,14 @@ class PanelRun:
         }
 
 
-def _submit(run: PanelRun, work: Callable[[PanelRun], object]) -> Future:
-    """Run ``work(job)`` on a copy of ``run`` with its own recorder, on
-    ``run.pool`` or else at once in the calling thread. The future holds the
-    job's recorder and its GatewayError, if any, so a failing job never stops
-    the others. A StageFailed ends the job quietly: the agent's
-    ``failed_stage`` already records it."""
-    def call() -> tuple[TraceRecorder, Optional[GatewayError]]:
+def _submit(run: PanelRun, *works: Callable[[PanelRun], object]) -> list[Future]:
+    """Run ``works`` one after another, each as one job on a copy of ``run``
+    with its own recorder, in one thread of ``run.pool`` or else at once in
+    the calling thread. Return one future per work, set as soon as its work
+    ends. Each holds its job's recorder and GatewayError, if any, so a
+    failing job never stops the others. A StageFailed ends a job quietly:
+    the agent's ``failed_stage`` already records it."""
+    def call(work: Callable[[PanelRun], object]) -> tuple[TraceRecorder, Optional[GatewayError]]:
         job = replace(run, recorder=TraceRecorder())
         try:
             work(job)
@@ -356,18 +361,38 @@ def _submit(run: PanelRun, work: Callable[[PanelRun], object]) -> Future:
             return job.recorder, exc
         return job.recorder, None
 
+    def chain() -> None:
+        for future, work in zip(futures, works):
+            try:
+                future.set_result(call(work))
+            except Exception as exc:  # raised again where the future is read
+                future.set_exception(exc)
+
+    futures = [Future() for _ in works]
     if run.pool is not None:
-        return run.pool.submit(call)
-    future = Future()
-    future.set_result(call())
-    return future
+        run.pool.submit(chain)
+    else:
+        for future, work in zip(futures, works):
+            future.set_result(call(work))
+    return futures
 
 
 def _start_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
-                agents: Sequence[AgentState]) -> list[Future]:
+                agents: Sequence[AgentState],
+                then: Optional[Callable[[PanelRun, AgentState], object]] = None,
+                ) -> tuple[list[Future], list[Future]]:
     """Submit one phase's ``step(job, agent)`` for each agent, and return one
-    future per agent, in agent order."""
-    return [_submit(run, lambda job, agent=agent: step(job, agent)) for agent in agents]
+    future per agent, in agent order. With ``then``, the second list holds one
+    future per agent for ``then(job, agent)``, which runs once the agent's
+    step has left it a solution: on ``run.pool`` in the step's thread right
+    after the step, and without a pool after every agent's step."""
+    steps = [lambda job, agent=agent: step(job, agent) for agent in agents]
+    thens = [lambda job, agent=agent: agent.current_solution is None or then(job, agent)
+             for agent in agents] if then is not None else []
+    if run.pool is None or not thens:
+        return [_submit(run, work)[0] for work in steps], [_submit(run, work)[0] for work in thens]
+    chains = [_submit(run, *works) for works in zip(steps, thens)]
+    return [first for first, _ in chains], [second for _, second in chains]
 
 
 def _finish_jobs(run: PanelRun, jobs: Sequence[Future]) -> None:
@@ -386,7 +411,7 @@ def _finish_jobs(run: PanelRun, jobs: Sequence[Future]) -> None:
 def _run_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
               agents: Sequence[AgentState]) -> None:
     """Run one phase to its end: ``_start_jobs``, then ``_finish_jobs``."""
-    _finish_jobs(run, _start_jobs(run, step, agents))
+    _finish_jobs(run, _start_jobs(run, step, agents)[0])
 
 
 def _notes_binding(notes: Optional[AnalyticalNotes]) -> str:
@@ -558,7 +583,8 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
     every round. They run concurrently on ``run.pool`` when the run has one.
 
     ``reviews`` are the agents' self-review jobs from ``_start_jobs``, one
-    per agent in ``agents`` order, possibly still running. The presentations
+    per agent in ``agents`` order, each started when its own agent's
+    investigation ended and possibly still running. The presentations
     are one more job after them: each presenter waits for its own review
     alone, and the chain stops before the first presenter whose review
     raised a GatewayError. ``_finish_jobs`` then merges the review records in
@@ -588,7 +614,7 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
                 pass
             presented[agent.name] = agent.current_solution
 
-    _finish_jobs(run, [*reviews, _submit(run, present)])
+    _finish_jobs(run, [*reviews, *_submit(run, present)])
 
     shared = consensus_check(presented)
     if shared is not None:
@@ -629,13 +655,17 @@ def run_panel(
     or API errors abort the task and mark the trace incomplete instead of
     raising. A transport error lets the phase's other agents finish first:
     the trace keeps every record and counts every call made, and carries the
-    error of the first failing agent in agent order. A failed self-review
-    stops the presentations before its agent presents, and the presentations
-    already made stay in the trace after every review record; a self-review's
-    error wins over a presentation's. When the backend is ``order_independent``
-    every phase runs its agents concurrently, and the presentation chain starts
-    while the self-reviews still run, each presenter once its own review is
-    done; the trace is the same either way.
+    error of the first failing agent in agent order. One in investigation
+    also lets the other agents' self-reviews run to their end, their records
+    after every investigation record, and its error wins over theirs. A
+    failed self-review stops the presentations before its agent presents, and
+    the presentations already made stay in the trace after every review
+    record; a self-review's error wins over a presentation's. When the
+    backend is ``order_independent`` every phase runs its agents
+    concurrently: each agent's self-review starts once its own investigation
+    ends, and the presentation chain starts once every investigation has
+    ended, while the self-reviews still run, each presenter once its own
+    review is done. The trace is the same either way.
 
     Without the peer-review stage a panel ends on its solvers' answers, by
     the rules peer review ends by: one shared answer is the outcome
@@ -653,10 +683,15 @@ def run_panel(
                    if fan_out else None)
     trace = DeliberationTrace(task_id=task.id, config_digest=config.digest())
     try:
-        _run_jobs(run, first_solve, agents)
+        investigations, reviews = _start_jobs(
+            run, first_solve, agents,
+            then=self_review if StageName.SELF_REVIEW in config.stages else None)
+        # A backend error in investigation ends the task once the other agents'
+        # self-reviews have ended too; their records follow the investigations'.
+        failed = any(job.result()[1] is not None for job in investigations)
+        _finish_jobs(run, [*investigations, *reviews] if failed else investigations)
         solvers = [a for a in agents if a.current_solution is not None]
-        reviews = (_start_jobs(run, self_review, solvers)
-                   if StageName.SELF_REVIEW in config.stages else [])
+        reviews = [job for a, job in zip(agents, reviews) if a.current_solution is not None]
 
         if not solvers:
             trace.complete = False

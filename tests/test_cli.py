@@ -675,7 +675,8 @@ MALFORMED = {
     "config-preset-list": ("config", {"preset": ["full"]}),
     **{f"config-{name}-{value}": ("config", {"preset": "full", name: value})
        for name, value in (("format_retry", 1.5), ("t_max_self", 1.5), ("t_max_panel", True),
-                           ("ordering_seed", None), ("ordering_seed", [1]))},
+                           ("ordering_seed", None), ("ordering_seed", [1]), ("name", 5),
+                           ("name", ["x"]), ("name", False))},
     "config-persona-int": ("config", {"panel": [{"name": 5, "focus": "Check"}]}),
     # A misspelt member key would be dropped without a word.
     "config-persona-unknown-key": ("config", {"panel": [

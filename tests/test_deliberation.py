@@ -765,7 +765,8 @@ def reference_model(config: PipelineConfig, kind: TaskKind, alphabet: tuple[str,
     - A re-ask repeats the request; only a good reply grows the agent's
       history, which is the turn the plan is keyed by.
     - A transport error ends the task once the rest of its phase is done.
-      One in a self-review stops the presentations before its agent.
+      One in investigation lets the other agents' self-reviews run too;
+      one in a self-review stops the presentations before its agent.
     """
     members = [p.name for p in config.panel.members]
     turn: Counter = Counter()  # each agent's good replies so far
@@ -838,12 +839,13 @@ def reference_model(config: PipelineConfig, kind: TaskKind, alphabet: tuple[str,
         return ended(outcome=OUTCOME_MAJORITY_VOTE, final=answer[winner], **end)
 
     fault = "TransportError: planned fault"
-    if phase(members, investigate):
-        return ended(error=fault)
+    faulty_investigations = phase(members, investigate)
     solvers = [n for n in members if n in answer]
+    faulty_reviews = phase(solvers, self_review) if StageName.SELF_REVIEW in config.stages else []
+    if faulty_investigations:
+        return ended(error=fault)
     if not solvers:
         return ended(error="no agent produced a solution")
-    faulty_reviews = phase(solvers, self_review) if StageName.SELF_REVIEW in config.stages else []
     if StageName.PEER_REVIEW not in config.stages:
         return ended(error=fault) if faulty_reviews else vote(solvers)
 
@@ -989,6 +991,27 @@ class TestConcurrentPanel:
                                PolicyBackend(policy, order_independent=False))
         assert trace.to_json_line() == sequential.to_json_line()
 
+    def test_self_reviews_start_when_their_own_investigation_ends(self, qa_task):
+        def policy(persona, stage, turn, repeat):
+            if stage is Stage.SOLVE and persona == "Marie Curie" and repeat == 0:
+                return "no marker"  # re-asked: Curie's investigation takes three calls
+            return unanimous_policy(persona, stage, turn, repeat)
+
+        config = ablation_presets(seed=3)["full"]
+        backend = PolicyBackend(policy, delay=lambda persona: self.CALL_S)
+        trace = run_panel(qa_task, config, backend)
+        assert trace.presentation_order[:2] == ["Albert Einstein", "Marie Curie"]
+        assert trace.outcome == OUTCOME_UNANIMOUS_INITIAL
+        assert trace.llm_calls == len(backend.spans) == 20 + 1
+        # Einstein presents while Curie verifies: assess, solve, verify, then
+        # five presentations, against Curie's 3 + 1 and five presentations
+        # behind an investigation barrier.
+        assert critical_path(backend.spans) == 8 < 3 + 1 + 5
+        curie_resolve_end = max(end for _, end in backend.spans_of(Stage.SOLVE))
+        assert min(start for start, _ in backend.spans_of(Stage.VERIFY)) < curie_resolve_end
+        sequential = run_panel(qa_task, config, PolicyBackend(policy, order_independent=False))
+        assert trace.to_json_line() == sequential.to_json_line()
+
     @staticmethod
     def failing_review_policy(persona, stage, turn, repeat):
         """Newton's verification fails late, Tesla's at once: Newton comes
@@ -1088,14 +1111,16 @@ class TestConcurrentPanel:
         assert trace.to_json_line() == sequential.to_json_line()
         assert not trace.complete and trace.final is None
         assert trace.error == "TransportError: newton unreachable"
-        # Einstein, Curie and Tesla finish their investigation, in agent order.
+        # Einstein, Curie and Tesla finish their investigation, in agent order,
+        # and then their self-review.
+        solvers = ("Albert Einstein", "Marie Curie", "Nikola Tesla")
         assert [(r.agent, r.stage) for r in trace.records] == [
             ("Albert Einstein", "assess"), ("Albert Einstein", "solve"),
             ("Marie Curie", "assess"), ("Marie Curie", "solve"),
             ("Nikola Tesla", "assess"), ("Nikola Tesla", "solve"),
-        ]
-        assert [r["seq"] for r in trace.to_json_dict()["records"]] == list(range(6))
-        assert trace.llm_calls == len(backend.spans) == 5 + 3
+        ] + [(a, "verify") for a in solvers]
+        assert [r["seq"] for r in trace.to_json_dict()["records"]] == list(range(9))
+        assert trace.llm_calls == len(backend.spans) == 5 + 3 + 3
         assert panel_threads() == []
 
     # A fact-verification alphabet holds an unmapped label, which still votes.
