@@ -11,14 +11,15 @@ backend, prompt templates and flattened table, and the recorder of its calls
 and records. Every stage is a function of that run and its agents.
 
 Agents never read each other during investigation, self-review or any one
-deliberation round. When the backend declares that a reply depends on its
-request alone (``order_independent``), those phases run their agents' jobs
-concurrently on one thread pool per run, one thread per agent, and an
-agent's self-review starts in its thread as soon as its own investigation
-ends. The presentations are one more job on that pool; they run in the
-shuffled order, because each presenter sees the earlier ones, and a
-presenter waits only for its own self-review. Without a pool every job runs
-at once in the calling thread: every investigation, then every self-review.
+deliberation round. Every job is started the same way, as one chain of works
+per agent: its investigation, then its own self-review; then one chain for
+the presentations, which run in the shuffled order because each presenter
+sees the earlier ones; then one job per agent in each deliberation round.
+When the backend declares that a reply depends on its request alone
+(``order_independent``), the chains run concurrently on one thread pool per
+run, one thread per agent, so an agent's self-review starts as soon as its
+own investigation ends and a presenter waits only for its own self-review.
+Without a pool the same chains run one after another in the calling thread.
 Either way a job works on a copy of the run with its own recorder and
 reports only that recorder and its backend error, if any; what it did to its
 agents is on the agents. One rule ends a phase: records merge in job order
@@ -323,7 +324,7 @@ class TraceRecorder:
 class PanelRun:
     """What every stage of one run shares. A job works on a copy with its
     own ``recorder``; the other fields are never replaced. ``pool``
-    runs a phase's agents concurrently; without one they run in turn."""
+    runs the job chains concurrently; without one they run in turn."""
 
     task: TaskInstance
     config: PipelineConfig
@@ -345,12 +346,13 @@ class PanelRun:
 
 
 def _submit(run: PanelRun, *works: Callable[[PanelRun], object]) -> list[Future]:
-    """Run ``works`` one after another, each as one job on a copy of ``run``
-    with its own recorder, in one thread of ``run.pool`` or else at once in
-    the calling thread. Return one future per work, set as soon as its work
-    ends. Each holds its job's recorder and GatewayError, if any, so a
-    failing job never stops the others. A StageFailed ends a job quietly:
-    the agent's ``failed_stage`` already records it."""
+    """Run ``works`` one after another as one chain, each as one job on a
+    copy of ``run`` with its own recorder: in one thread of ``run.pool``, or
+    else at once in the calling thread. Return one future per work, set as
+    soon as its work ends. Each holds its job's recorder and GatewayError,
+    or any other exception, so a failing job never stops the others. A
+    StageFailed ends a job quietly: the agent's ``failed_stage`` already
+    records it."""
     def call(work: Callable[[PanelRun], object]) -> tuple[TraceRecorder, Optional[GatewayError]]:
         job = replace(run, recorder=TraceRecorder())
         try:
@@ -372,27 +374,8 @@ def _submit(run: PanelRun, *works: Callable[[PanelRun], object]) -> list[Future]
     if run.pool is not None:
         run.pool.submit(chain)
     else:
-        for future, work in zip(futures, works):
-            future.set_result(call(work))
+        chain()
     return futures
-
-
-def _start_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
-                agents: Sequence[AgentState],
-                then: Optional[Callable[[PanelRun, AgentState], object]] = None,
-                ) -> tuple[list[Future], list[Future]]:
-    """Submit one phase's ``step(job, agent)`` for each agent, and return one
-    future per agent, in agent order. With ``then``, the second list holds one
-    future per agent for ``then(job, agent)``, which runs once the agent's
-    step has left it a solution: on ``run.pool`` in the step's thread right
-    after the step, and without a pool after every agent's step."""
-    steps = [lambda job, agent=agent: step(job, agent) for agent in agents]
-    thens = [lambda job, agent=agent: agent.current_solution is None or then(job, agent)
-             for agent in agents] if then is not None else []
-    if run.pool is None or not thens:
-        return [_submit(run, work)[0] for work in steps], [_submit(run, work)[0] for work in thens]
-    chains = [_submit(run, *works) for works in zip(steps, thens)]
-    return [first for first, _ in chains], [second for _, second in chains]
 
 
 def _finish_jobs(run: PanelRun, jobs: Sequence[Future]) -> None:
@@ -406,12 +389,6 @@ def _finish_jobs(run: PanelRun, jobs: Sequence[Future]) -> None:
     for _, error in outcomes:
         if error is not None:
             raise error
-
-
-def _run_jobs(run: PanelRun, step: Callable[[PanelRun, AgentState], object],
-              agents: Sequence[AgentState]) -> None:
-    """Run one phase to its end: ``_start_jobs``, then ``_finish_jobs``."""
-    _finish_jobs(run, _start_jobs(run, step, agents)[0])
 
 
 def _notes_binding(notes: Optional[AnalyticalNotes]) -> str:
@@ -582,9 +559,9 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
     neither of these two, so one whose self-review failed deliberates in
     every round. They run concurrently on ``run.pool`` when the run has one.
 
-    ``reviews`` are the agents' self-review jobs from ``_start_jobs``, one
-    per agent in ``agents`` order, each started when its own agent's
-    investigation ended and possibly still running. The presentations
+    ``reviews`` are the agents' self-review jobs, one per agent in
+    ``agents`` order, each the second job of its agent's chain from
+    ``run_panel`` and possibly still running. The presentations
     are one more job after them: each presenter waits for its own review
     alone, and the chain stops before the first presenter whose review
     raised a GatewayError. ``_finish_jobs`` then merges the review records in
@@ -631,7 +608,8 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
                 peer_solutions=peers)
 
         active = [a for a in order if a.failed_stage not in (Stage.PRESENT, Stage.DELIBERATE)]
-        _run_jobs(run, deliberate, active)
+        _finish_jobs(run, [_submit(run, lambda job, agent=agent: deliberate(job, agent))[0]
+                           for agent in active])
         # An abstaining agent's current solution is its answer of the previous round.
         current = {a.name: a.current_solution for a in order}
         rounds.append(current)
@@ -660,12 +638,12 @@ def run_panel(
     after every investigation record, and its error wins over theirs. A
     failed self-review stops the presentations before its agent presents, and
     the presentations already made stay in the trace after every review
-    record; a self-review's error wins over a presentation's. When the
-    backend is ``order_independent`` every phase runs its agents
-    concurrently: each agent's self-review starts once its own investigation
-    ends, and the presentation chain starts once every investigation has
-    ended, while the self-reviews still run, each presenter once its own
-    review is done. The trace is the same either way.
+    record; a self-review's error wins over a presentation's. Each agent's
+    self-review follows its own investigation in one job chain. When the
+    backend is ``order_independent`` the chains run concurrently, and the
+    presentation chain starts once every investigation has ended, each
+    presenter once its own review is done; otherwise the same chains run one
+    after another. The trace is the same either way.
 
     Without the peer-review stage a panel ends on its solvers' answers, by
     the rules peer review ends by: one shared answer is the outcome
@@ -683,9 +661,14 @@ def run_panel(
                    if fan_out else None)
     trace = DeliberationTrace(task_id=task.id, config_digest=config.digest())
     try:
-        investigations, reviews = _start_jobs(
-            run, first_solve, agents,
-            then=self_review if StageName.SELF_REVIEW in config.stages else None)
+        # One chain per agent: its investigation, then its own self-review.
+        reviewing = StageName.SELF_REVIEW in config.stages
+        chains = [_submit(run, lambda job, agent=agent: first_solve(job, agent),
+                          *([lambda job, agent=agent: agent.current_solution is None
+                             or self_review(job, agent)] if reviewing else []))
+                  for agent in agents]
+        investigations = [chain[0] for chain in chains]
+        reviews = [chain[1] for chain in chains if reviewing]
         # A backend error in investigation ends the task once the other agents'
         # self-reviews have ended too; their records follow the investigations'.
         failed = any(job.result()[1] is not None for job in investigations)

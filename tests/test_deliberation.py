@@ -656,7 +656,8 @@ class PolicyBackend:
     persona, the stage contract, the agent's own history length (its turn)
     and how often that same request arrived before, which only the agent's
     own format re-asks can repeat. It records one (start, end) span, its
-    stage and the thread name of every call."""
+    stage and the thread name of every call, and the persona, stage and
+    request of every call in the order they arrive."""
 
     model_name = "policy"
     temperature = 0.0
@@ -668,6 +669,7 @@ class PolicyBackend:
         self.spans: list[tuple[float, float]] = []
         self.stages: list[Stage] = []  # the stage of each span
         self.threads: set[str] = set()
+        self.requests: list[tuple[str, Stage, ChatRequest]] = []
         self._arrivals: Counter = Counter()
         self._lock = threading.Lock()
 
@@ -681,6 +683,7 @@ class PolicyBackend:
             repeat = self._arrivals[persona, stage, turn]
             self._arrivals[persona, stage, turn] += 1
             self.threads.add(threading.current_thread().name)
+            self.requests.append((persona, stage, request))
         try:
             time.sleep(self.delay(persona))
             return self.reply(persona, stage, turn, repeat)
@@ -691,6 +694,13 @@ class PolicyBackend:
 
     def spans_of(self, stage: Stage) -> list[tuple[float, float]]:
         return [span for span, s in zip(self.spans, self.stages) if s is stage]
+
+    def requests_by_persona(self) -> dict[str, list[ChatRequest]]:
+        """Each persona's own requests, in the order it sent them."""
+        own: dict[str, list[ChatRequest]] = {}
+        for persona, _, request in self.requests:
+            own.setdefault(persona, []).append(request)
+        return own
 
 
 def unanimous_policy(persona, stage, turn, repeat) -> str:
@@ -1073,6 +1083,37 @@ class TestConcurrentPanel:
                 + [("Albert Einstein", "present")])
         assert len(lines) == 1
 
+    def test_sequential_run_sends_each_agents_chain_before_the_next_agents(self, qa_task):
+        config = dataclasses.replace(ablation_presets(seed=3)["full"],
+                                     panel=Panel(default_panel().members[:3]))
+        backend = PolicyBackend(unanimous_policy, order_independent=False)
+        trace = run_panel(qa_task, config, backend)
+        assert trace.outcome == OUTCOME_UNANIMOUS_INITIAL
+        agents = [p.name for p in config.panel.members]
+        # Each agent investigates and then reviews its own answer before the
+        # next agent's first call, as each agent's job chain runs on a pool.
+        assert [(persona, stage) for persona, stage, _ in backend.requests] == (
+            [(a, stage) for a in agents for stage in (Stage.ASSESS, Stage.SOLVE, Stage.VERIFY)]
+            + [(a, Stage.PRESENT) for a in trace.presentation_order])
+        fanned_out = run_panel(qa_task, config, PolicyBackend(unanimous_policy))
+        assert fanned_out.to_json_line() == trace.to_json_line()
+
+    def test_an_unexpected_error_in_a_self_review_is_raised_after_the_same_calls(self, qa_task):
+        def policy(persona, stage, turn, repeat):
+            if stage is Stage.VERIFY and persona == "Isaac Newton":
+                raise RuntimeError("newton's verify broke")
+            return unanimous_policy(persona, stage, turn, repeat)
+
+        config = ablation_presets(seed=3)["full"]
+        for independent in (False, True):
+            backend = PolicyBackend(policy, order_independent=independent)
+            with pytest.raises(RuntimeError, match="newton's verify broke"):
+                run_panel(qa_task, config, backend)
+            # Every investigation and self-review, then the presentations of
+            # everyone before Newton, who presents last.
+            assert len(backend.spans) == 10 + 5 + 4, independent
+            assert panel_threads() == []
+
     def test_unlimited_script_fans_out_with_the_sequential_trace(self, qa_task):
         calls = []
 
@@ -1158,7 +1199,8 @@ class TestConcurrentPanel:
             return planned_reply(stage, choice, alphabet)
 
         task = make_task(kind)
-        sequential = run_panel(task, config, PolicyBackend(drawing, order_independent=False))
+        sequential_backend = PolicyBackend(drawing, order_independent=False)
+        sequential = run_panel(task, config, sequential_backend)
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -1168,6 +1210,14 @@ class TestConcurrentPanel:
             sys.setswitchinterval(switch_interval)
         assert fanned_out.to_json_line() == sequential.to_json_line()
         assert fanned_out.llm_calls == len(backend.spans)
+        assert backend.requests_by_persona() == sequential_backend.requests_by_persona()
+        # The sequential run sends one agent's investigation and self-review
+        # calls after another's, in panel order, as one job chain each.
+        members = [p.name for p in config.panel.members]
+        solving = [persona for persona, stage, _ in sequential_backend.requests
+                   if stage not in (Stage.PRESENT, Stage.DELIBERATE)]
+        assert [persona for persona, _ in itertools.groupby(solving)] == [
+            m for m in members if m in solving]
         expected = reference_model(config, kind, alphabet, plan)
         assert observed(sequential) == expected
         assert observed(fanned_out) == expected
