@@ -2,7 +2,7 @@
 
 One run walks a panel of persona-conditioned agents through up to three
 stages: investigation (assess, then solve), self-review (verify with bounded
-re-assessment), and peer review (ordered individual presentation, consensus
+refinement), and peer review (ordered individual presentation, consensus
 short-circuit, bounded collective deliberation rounds, majority-vote
 fallback). Every model exchange is recorded into a replayable trace.
 
@@ -475,19 +475,28 @@ def direct_solve(run: PanelRun, agent: AgentState) -> AgentState:
     return agent
 
 
+def _solve(run: PanelRun, agent: AgentState) -> AgentState:
+    """Solve the way the run's stages say, for the first solve and every
+    refinement alike: ``investigate`` when the investigation stage is on,
+    else ``direct_solve``."""
+    if StageName.INVESTIGATION in run.config.stages:
+        return investigate(run, agent)
+    return direct_solve(run, agent)
+
+
 def self_review(run: PanelRun, agent: AgentState) -> AgentState:
     """Verify the current solution; while the verdict is uncertain and
-    refinement iterations remain, re-investigate and verify again. After
-    ``t_max_self`` refinements the latest solution stands regardless of
-    verdict. A failed step keeps the last good solution with an uncertain
-    verdict."""
+    refinement iterations remain, solve again as the first solve did
+    (``_solve``) and verify again. After ``t_max_self`` refinements the
+    latest solution stands regardless of verdict. A failed step keeps the
+    last good solution with an uncertain verdict."""
     if agent.current_solution is None:
         raise ValueError("self_review requires a current solution")
     agent.verdict = Verdict.UNCERTAIN
     try:
         for refinement in range(run.config.t_max_self + 1):
             if refinement:
-                investigate(run, agent)
+                _solve(run, agent)
             agent.verdict = _exchange(run, agent, Stage.VERIFY,
                                       prior_solution=agent.current_solution.raw)
             if agent.verdict is not Verdict.UNCERTAIN:
@@ -653,7 +662,6 @@ def run_panel(
     always ends unanimous.
     """
     agents = [AgentState(persona=p) for p in config.panel.members]
-    first_solve = investigate if StageName.INVESTIGATION in config.stages else direct_solve
     fan_out = len(agents) > 1 and getattr(backend, "order_independent", False)
     run = PanelRun(task, config, backend, templates or PromptLibrary.default(),
                    flatten_table(task.table, task.context),
@@ -663,7 +671,7 @@ def run_panel(
     try:
         # One chain per agent: its investigation, then its own self-review.
         reviewing = StageName.SELF_REVIEW in config.stages
-        chains = [_submit(run, lambda job, agent=agent: first_solve(job, agent),
+        chains = [_submit(run, lambda job, agent=agent: _solve(job, agent),
                           *([lambda job, agent=agent: agent.current_solution is None
                              or self_review(job, agent)] if reviewing else []))
                   for agent in agents]

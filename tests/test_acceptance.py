@@ -184,7 +184,9 @@ def test_criterion_5_self_review_loop_semantics(qa_task):
     ]
     for t_max_self, script, expected_calls, expected_final, expected_verdict in cases:
         agent = prepared_agent()
-        run = make_run(qa_task, make_backend(list(script)), t_max_self=t_max_self)
+        # With the investigation stage on, a refinement re-assesses, then re-solves.
+        run = make_run(qa_task, make_backend(list(script)), t_max_self=t_max_self,
+                       stages={StageName.INVESTIGATION})
         self_review(run, agent)
         assert run.recorder.calls == expected_calls, (t_max_self, expected_calls)
         assert agent.current_solution.raw == expected_final

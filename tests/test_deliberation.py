@@ -50,6 +50,7 @@ from conftest import (
 )
 
 QA = TaskKind.qa()
+INVESTIGATING = frozenset({StageName.INVESTIGATION})  # a refinement then re-assesses
 FACT = TaskKind.fact_verify(("entailed", "refuted", "unknown"))
 
 
@@ -180,7 +181,7 @@ class TestSelfReview:
             stage_entry(Stage.VERIFY, "VERDICT: uncertain"),
         ])
         a = self.prepared_agent(qa_task, backend)
-        run = make_run(qa_task, backend, t_max_self=1)
+        run = make_run(qa_task, backend, t_max_self=1, stages=INVESTIGATING)
         self_review(run, a)
         assert a.current_solution.raw == "7"
         assert a.verdict is Verdict.UNCERTAIN
@@ -194,7 +195,7 @@ class TestSelfReview:
             stage_entry(Stage.VERIFY, "VERDICT: validated"),
         ])
         a = self.prepared_agent(qa_task, backend)
-        run = make_run(qa_task, backend, t_max_self=2)
+        run = make_run(qa_task, backend, t_max_self=2, stages=INVESTIGATING)
         self_review(run, a)
         assert a.verdict is Verdict.VALIDATED
         assert a.current_solution.raw == "8"
@@ -206,9 +207,23 @@ class TestSelfReview:
             "garbage",  # re-assessment fails
         ])
         a = self.prepared_agent(qa_task, backend)
-        self_review(make_run(qa_task, backend, t_max_self=1, format_retry=0), a)
+        self_review(make_run(qa_task, backend, t_max_self=1, format_retry=0,
+                             stages=INVESTIGATING), a)
         assert a.current_solution.raw == "5"
         assert a.verdict is Verdict.UNCERTAIN
+
+    @pytest.mark.parametrize("preset", ["vanilla+self", "vanilla+self+peer",
+                                        "investigation+self", "full"])
+    def test_refinements_solve_the_way_the_first_solve_did(self, qa_task, preset):
+        config = dataclasses.replace(ablation_presets(seed=3)[preset], t_max_self=2)
+        trace = run_panel(qa_task, config, PolicyBackend(adversarial_policy))
+        assert trace.complete
+        calls = Counter((r.agent, r.stage) for r in trace.records)
+        investigating = StageName.INVESTIGATION in config.stages
+        for member in config.panel.members:
+            # Every verdict is uncertain: the first solve and two refinements.
+            assert calls[member.name, "verify"] == calls[member.name, "solve"] == 3
+            assert calls[member.name, "assess"] == (3 if investigating else 0)
 
     def test_requires_existing_solution(self, qa_task):
         with pytest.raises(ValueError):
@@ -760,8 +775,8 @@ def reference_model(config: PipelineConfig, kind: TaskKind, alphabet: tuple[str,
     - Investigation assesses (when that stage is on), then solves. An agent
       that runs out of format retries there leaves the panel.
     - Self-review verifies; while the verdict is uncertain and refinements
-      remain, the agent re-assesses (whether or not investigation is on),
-      re-solves and verifies again. Running out of retries keeps the last
+      remain, the agent investigates again as it did first (assessing only
+      when that stage is on) and verifies again. Running out of retries keeps the last
       good answer, and the agent stays on the panel.
     - Peer review: the solvers present in a seed-determined shuffle
       (``random.Random(ordering_seed)``), each once its own self-review is
@@ -805,8 +820,8 @@ def reference_model(config: PipelineConfig, kind: TaskKind, alphabet: tuple[str,
         out_of_retries.add(name)
         return None
 
-    def investigate(name: str, assess: bool = StageName.INVESTIGATION in config.stages) -> bool:
-        if assess and ask(name, Stage.ASSESS) is None:
+    def investigate(name: str) -> bool:
+        if StageName.INVESTIGATION in config.stages and ask(name, Stage.ASSESS) is None:
             return False
         choice = ask(name, Stage.SOLVE)
         if choice is not None:
@@ -815,7 +830,7 @@ def reference_model(config: PipelineConfig, kind: TaskKind, alphabet: tuple[str,
 
     def self_review(name: str) -> None:
         for refinement in range(config.t_max_self + 1):
-            if refinement and not investigate(name, assess=True):
+            if refinement and not investigate(name):
                 return
             verdict = ask(name, Stage.VERIFY)
             if verdict is None or verdict % 2 == 0:  # out of retries, or validated
