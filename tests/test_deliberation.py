@@ -776,8 +776,8 @@ def reference_model(config: PipelineConfig, kind: TaskKind, alphabet: tuple[str,
       that runs out of format retries there leaves the panel.
     - Self-review verifies; while the verdict is uncertain and refinements
       remain, the agent investigates again as it did first (assessing only
-      when that stage is on) and verifies again. Running out of retries keeps the last
-      good answer, and the agent stays on the panel.
+      when that stage is on) and verifies again. Running out of retries
+      keeps the last good answer, and the agent stays on the panel.
     - Peer review: the solvers present in a seed-determined shuffle
       (``random.Random(ordering_seed)``), each once its own self-review is
       done. Unanimity ends the run; otherwise up to ``t_max_panel`` rounds
@@ -1228,11 +1228,10 @@ class TestConcurrentPanel:
         assert backend.requests_by_persona() == sequential_backend.requests_by_persona()
         # The sequential run sends one agent's investigation and self-review
         # calls after another's, in panel order, as one job chain each.
-        members = [p.name for p in config.panel.members]
         solving = [persona for persona, stage, _ in sequential_backend.requests
                    if stage not in (Stage.PRESENT, Stage.DELIBERATE)]
         assert [persona for persona, _ in itertools.groupby(solving)] == [
-            m for m in members if m in solving]
+            p.name for p in config.panel.members]
         expected = reference_model(config, kind, alphabet, plan)
         assert observed(sequential) == expected
         assert observed(fanned_out) == expected
