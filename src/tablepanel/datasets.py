@@ -137,7 +137,7 @@ def _value_to_text(value) -> str:
 
 def _load_tatqa(path: Path) -> Iterator[TaskInstance]:
     try:
-        blocks = json.loads(path.read_text(encoding="utf-8"))
+        blocks = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}")
     if not isinstance(blocks, list):
@@ -216,7 +216,7 @@ def _load_semtabfacts(path: Path) -> Iterator[TaskInstance]:
 
 
 def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -557,7 +557,8 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
                 reviews: Sequence[Future] = ()) -> PeerReviewResult:
     """Ordered individual presentation, then bounded collective deliberation.
 
-    Presentation order is a seed-determined shuffle; each presenter sees all
+    Presentation order is a shuffle drawn from ``ordering_seed`` alone, so
+    every task of a run presents in the same order; each presenter sees all
     earlier presentations and may adjust its answer. Unanimity after the
     presentations ends the run; otherwise up to ``t_max_panel`` deliberation
     rounds run, each agent seeing the full previous round, its own entry

@@ -1,12 +1,14 @@
 """Per-benchmark scoring: EM and token F1, denotation accuracy, three-way
 micro F1, and label accuracy plus the stricter evidence-conditioned score.
 
-All metrics are pure functions over normalized answers and are
-permutation-invariant over the instance list.
+All metrics are pure functions over normalized answers. Each score is either
+a hit share or a correctly rounded mean (``math.fsum``), so it is exactly the
+same under any permutation of the instance list.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -120,31 +122,24 @@ def micro_f1_3way(
     golds: Sequence[str],
     label_set: Sequence[str],
 ) -> float:
-    """Micro-averaged F1 over pooled per-class TP/FP/FN counts.
+    """Micro-averaged F1 over pooled per-class counts.
 
-    For single-label classification this equals accuracy. Gold labels
-    outside ``label_set`` raise UnknownLabel; a stray predicted label counts
-    as one false positive plus one false negative (a wrong prediction).
+    For single-label classification every wrong prediction is one false
+    positive and one false negative, so micro-F1 equals accuracy; it is
+    returned as the exact hit share. Gold labels outside ``label_set`` raise
+    UnknownLabel; a stray predicted label counts as a wrong prediction.
     """
     if len(preds) != len(golds):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} golds")
     labels = {l.strip().lower() for l in label_set}
-    tp = fp = fn = 0
+    hits = 0
     for pred, gold in zip(preds, golds):
-        pred = pred.strip().lower()
         gold = gold.strip().lower()
         if gold not in labels:
             raise UnknownLabel(f"gold label {gold!r} not in {sorted(labels)}")
-        if pred == gold:
-            tp += 1
-        else:
-            fp += 1
-            fn += 1
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
+        if pred.strip().lower() == gold:
+            hits += 1
+    return hits / len(preds) if preds else 0.0
 
 
 def feverous_score(preds: Sequence[Prediction], golds: Sequence[Answer]) -> tuple[float, float]:
@@ -191,7 +186,7 @@ def score_run(preds: Sequence[Prediction], tasks: Sequence[TaskInstance]) -> Met
 
     if mode is AnswerMode.QA_FREEFORM:
         em = sum(exact_match(p.answer, g) for p, g in zip(ordered, golds)) / n
-        f1 = sum(token_f1(p.answer, g) for p, g in zip(ordered, golds)) / n
+        f1 = math.fsum(token_f1(p.answer, g) for p, g in zip(ordered, golds)) / n
         return MetricReport(kind=mode.value, n=n, em=em, f1=f1)
 
     if mode is AnswerMode.SQL_DENOTATION:
@@ -199,11 +194,8 @@ def score_run(preds: Sequence[Prediction], tasks: Sequence[TaskInstance]) -> Met
         return MetricReport(kind=mode.value, n=n, denotation_acc=acc)
 
     # Three-way fact verification: evidence-conditioned when flags are
-    # present (all or none: a mixture is a caller bug).
-    flagged = [p for p in ordered if p.evidence_correct is not None]
-    if flagged and len(flagged) != n:
-        raise MissingEvidenceFlag("evidence_correct set on some predictions but not all")
-    if flagged:
+    # present; feverous_score rejects a run where only some are.
+    if any(p.evidence_correct is not None for p in ordered):
         label_acc, strict = feverous_score(ordered, golds)
         return MetricReport(kind=mode.value, n=n, label_acc=label_acc, feverous_score=strict)
     label_set = tasks[0].kind.label_set

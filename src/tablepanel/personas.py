@@ -232,7 +232,7 @@ class PromptLibrary:
         for stage in Stage:
             file = root / f"{stage.value}.txt"
             try:
-                body = file.read_text(encoding="utf-8") if file.exists() else _DEFAULT_BODIES[stage]
+                body = file.read_text(encoding="utf-8-sig") if file.exists() else _DEFAULT_BODIES[stage]
             except UnicodeDecodeError as exc:
                 raise TemplateError(f"{file.name} is not UTF-8 text: {exc.reason}") from exc
             templates[stage] = PromptTemplate(stage, body)

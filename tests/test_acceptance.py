@@ -231,7 +231,7 @@ def test_criterion_6_ablation_preset_fidelity(qa_task):
 
 def test_criterion_7_metrics_oracle_suite():
     """All worked metric examples hold to 1e-9, and micro-F1 equals a
-    counting-oracle accuracy on 1000 random single-label vectors."""
+    counting-oracle accuracy exactly on 1000 random single-label vectors."""
     tol = 1e-9
     qa = lambda t: Answer.from_raw(t, QA)
     sql = lambda t: Answer.from_raw(t, TaskKind.sql_denotation())
@@ -268,8 +268,8 @@ def test_criterion_7_metrics_oracle_suite():
         gold_vec = [rng.choice(labels) for _ in range(n)]
         pred_vec = [rng.choice(labels) for _ in range(n)]
         accuracy = sum(p == g for p, g in zip(pred_vec, gold_vec)) / n
-        assert abs(micro_f1_3way(pred_vec, gold_vec, labels) - accuracy) < tol
-    _ok(7, "worked examples and 1000-vector micro-F1/accuracy identity at 1e-9")
+        assert micro_f1_3way(pred_vec, gold_vec, labels) == accuracy
+    _ok(7, "worked examples at 1e-9 and exact 1000-vector micro-F1/accuracy identity")
 
 
 def test_criterion_8_extraction_round_trip():

@@ -486,6 +486,18 @@ def test_readme_script_fans_out_with_byte_identical_outputs(tmp_path, capsys, ki
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_readme_script_answering_unknown_scores_semtabfacts_as_the_exact_hit_share(tmp_path):
+    backend = tmp_path / "unknown.json"
+    backend.write_text(readme_scripted_backend().replace("ANSWER: 42", "ANSWER: unknown"),
+                       encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["bench", "semtabfacts", "fixture", "--backend", str(backend), "--out", str(out)])
+    assert code == 0
+    # Two of the fixture's ten statements are labelled unknown.
+    assert json.loads((out / "report.json").read_text()) == \
+        {"kind": "fact_verify_3way", "micro_f1": 0.2, "n": 10}
+
+
 class TestConfigResolution:
     def test_preset_by_name(self):
         config = resolve_config("vanilla+peer")

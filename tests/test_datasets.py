@@ -64,6 +64,23 @@ class TestFixtures:
             assert len(set(ids)) == len(ids)
 
 
+@pytest.mark.parametrize("kind, suffix", [
+    (DatasetKind.TATQA, ".json"),
+    (DatasetKind.WIKISQL, ".jsonl"),
+    (DatasetKind.WIKISQL, ".tables.jsonl"),
+    (DatasetKind.FEVEROUS, ".jsonl"),
+    (DatasetKind.FEVEROUS, ".retrieved.jsonl"),
+])
+def test_dataset_and_companion_files_may_start_with_a_byte_order_mark(tmp_path, kind, suffix):
+    source = fixture_path(kind)
+    for file in source.parent.glob(source.stem + ".*"):
+        text = file.read_text(encoding="utf-8")
+        if file.name == source.stem + suffix:
+            text = "\ufeff" + text
+        (tmp_path / file.name).write_text(text, encoding="utf-8")
+    assert list(load(kind, tmp_path / source.name)) == list(fixture(kind))
+
+
 class TestLoaderErrors:
     def test_malformed_jsonl_line_reports_line_number(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

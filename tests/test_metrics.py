@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -134,7 +135,11 @@ class TestMicroF1:
             golds = [rng.choice(LABELS) for _ in range(n)]
             preds = [rng.choice(LABELS) for _ in range(n)]
             accuracy = sum(p == g for p, g in zip(preds, golds)) / n
-            assert micro_f1_3way(preds, golds, LABELS) == pytest.approx(accuracy, abs=1e-9)
+            assert micro_f1_3way(preds, golds, LABELS) == accuracy
+
+    def test_returns_the_exact_hit_share(self):
+        # 2 of 10 right: 2PR/(P+R) over pooled counts rounds to 0.20000000000000004.
+        assert micro_f1_3way(["unknown"] * 2 + ["entailed"] * 8, ["unknown"] * 10, LABELS) == 0.2
 
 
 def fact(label: str) -> Answer:
@@ -196,6 +201,22 @@ class TestScoreRun:
         b = score_run(list(reversed(preds)), tasks)
         assert a == b
 
+    def test_qa_f1_is_identical_under_any_joint_shuffle(self):
+        rng = random.Random(30)
+        words = ["net", "income", "2019", "revenue", "total", "cost", "of", "sales"]
+        tasks, preds = [], []
+        for i in range(30):
+            gold = " ".join(rng.choices(words, k=rng.randint(1, 6)))
+            task = replace(make_task(task_id=f"t{i}"), gold=qa(gold))
+            tasks.append(task)
+            preds.append(Prediction(task.id, qa(" ".join(rng.choices(words, k=rng.randint(1, 6))))))
+        pairs = list(zip(preds, tasks))
+        f1s = set()
+        for _ in range(200):
+            rng.shuffle(pairs)
+            f1s.add(score_run([p for p, _ in pairs], [t for _, t in pairs]).f1)
+        assert len(f1s) == 1, sorted(f1s)
+
     def test_empty_run_rejected(self):
         with pytest.raises(IdMismatch):
             score_run([], [])
@@ -217,6 +238,13 @@ class TestScoreRun:
         report = score_run(preds, tasks)
         assert report.micro_f1 == 1.0
         assert report.label_acc is None
+
+    def test_fact_with_some_evidence_flags_missing_raises(self):
+        tasks = [make_task(kind=FACT, task_id=f"t{i}") for i in range(3)]
+        preds = [Prediction(t.id, t.gold, evidence_correct=True if i else None)
+                 for i, t in enumerate(tasks)]
+        with pytest.raises(MissingEvidenceFlag):
+            score_run(preds, tasks)
 
     def test_report_serialization_drops_absent_fields(self):
         report = MetricReport(kind="qa_freeform", n=2, em=0.5, f1=0.75)

@@ -169,6 +169,11 @@ class TestTemplates:
         # stages without an override file keep the default
         assert library[Stage.SOLVE] == PromptLibrary.default()[Stage.SOLVE]
 
+    def test_override_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        body = "CUSTOM {flattened_input} :: {query}"
+        (tmp_path / "assess.txt").write_text("\ufeff" + body, encoding="utf-8")
+        assert PromptLibrary.from_dir(tmp_path)[Stage.ASSESS].body == body
+
     def test_override_with_bad_placeholders_rejected(self, tmp_path):
         (tmp_path / "verify.txt").write_text("{nope}", encoding="utf-8")
         with pytest.raises(TemplateError):
