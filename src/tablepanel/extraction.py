@@ -4,7 +4,8 @@ The marker grammar here (COMPLEXITY:, NOTES:, ANSWER:, VERDICT:, POSITION:,
 RATIONALE:) is the same one embedded in the stage prompts, so prompts and
 extractors cannot drift apart. Markers are matched case-insensitively, one
 per line; the last ANSWER line wins because models often restate their
-answer. Every extractor either returns a value or raises FormatError; all
+answer. A marker or bullet line may end in LF or CRLF, and no value keeps
+the "\r". Every extractor either returns a value or raises FormatError; all
 are pure functions of the raw text.
 """
 
@@ -50,25 +51,42 @@ class AnalyticalNotes:
         object.__setattr__(self, "points", points)
 
 
-_COMPLEXITY_RE = re.compile(r"^[ \t]*COMPLEXITY:[ \t]*(.+?)[ \t]*$", re.I | re.M)
-_NOTES_RE = re.compile(r"^[ \t]*NOTES:[ \t]*$", re.I | re.M)
-_ANSWER_RE = re.compile(r"^[ \t]*ANSWER:[ \t]*(.*?)[ \t]*$", re.I | re.M)
-_VERDICT_RE = re.compile(r"^[ \t]*VERDICT:[ \t]*(.+?)[ \t]*$", re.I | re.M)
-_POSITION_RE = re.compile(r"^[ \t]*POSITION:[ \t]*(.+?)[ \t]*$", re.I | re.M)
-_RATIONALE_RE = re.compile(r"^[ \t]*RATIONALE:[ \t]*(.*?)[ \t]*$", re.I | re.M)
-_BULLET_RE = re.compile(r"^[ \t]*-[ \t]*(.*?)[ \t]*$")
+# A value never holds "\r" or "\n". A choice (COMPLEXITY, VERDICT, POSITION)
+# needs at least one character, so a bare "COMPLEXITY:" line is not found.
+_TEXT = r"[^\r\n]*?"
+_CHOICE = r"[^\r\n]+?"
+
+
+def _marker(name: str, value: str) -> re.Pattern:
+    """The one reply line rule: optional leading spaces and tabs, the
+    case-insensitive ``name``, the captured ``value``, then trailing spaces,
+    tabs and at most one "\r" before the line end."""
+    return re.compile(rf"^[ \t]*{name}[ \t]*({value})[ \t]*\r?$", re.I | re.M)
+
+
+_COMPLEXITY_RE = _marker("COMPLEXITY:", _CHOICE)
+_NOTES_RE = _marker("NOTES:", "")
+_ANSWER_RE = _marker("ANSWER:", _TEXT)
+_VERDICT_RE = _marker("VERDICT:", _CHOICE)
+_POSITION_RE = _marker("POSITION:", _CHOICE)
+_RATIONALE_RE = _marker("RATIONALE:", _TEXT)
+_BULLET_RE = _marker("-", _TEXT)
+
+
+def _choice(raw: str, pattern: re.Pattern, marker: str, choices: tuple[str, ...]) -> str:
+    """The first ``pattern`` value, stripped and lower-cased; raises
+    FormatError when the marker is absent or the value is not a choice."""
+    m = pattern.search(raw)
+    if not m:
+        raise FormatError(marker)
+    value = m.group(1).strip().lower()
+    if value not in choices:
+        raise FormatError(marker, f"unknown value {value!r}")
+    return value
 
 
 def extract_assessment(raw: str) -> tuple[Complexity, AnalyticalNotes]:
-    m = _COMPLEXITY_RE.search(raw)
-    if not m:
-        raise FormatError("COMPLEXITY")
-    value = m.group(1).strip().lower()
-    try:
-        complexity = Complexity(value)
-    except ValueError:
-        raise FormatError("COMPLEXITY", f"unknown value {value!r}")
-
+    complexity = Complexity(_choice(raw, _COMPLEXITY_RE, "COMPLEXITY", tuple(Complexity)))
     notes_match = _NOTES_RE.search(raw)
     if not notes_match:
         raise FormatError("NOTES")
@@ -92,14 +110,7 @@ def extract_solution(raw: str, kind: TaskKind) -> Answer:
 
 
 def extract_verdict(raw: str) -> Verdict:
-    m = _VERDICT_RE.search(raw)
-    if not m:
-        raise FormatError("VERDICT")
-    value = m.group(1).strip().lower()
-    try:
-        return Verdict(value)
-    except ValueError:
-        raise FormatError("VERDICT", f"unknown value {value!r}")
+    return Verdict(_choice(raw, _VERDICT_RE, "VERDICT", tuple(Verdict)))
 
 
 def extract_presentation(raw: str, kind: TaskKind) -> tuple[Answer, str]:
@@ -112,14 +123,8 @@ def extract_presentation(raw: str, kind: TaskKind) -> tuple[Answer, str]:
 
 
 def extract_deliberation(raw: str, kind: TaskKind) -> tuple[Answer, bool]:
-    m = _POSITION_RE.search(raw)
-    if not m:
-        raise FormatError("POSITION")
-    value = m.group(1).strip().lower()
-    if value not in POSITIONS:
-        raise FormatError("POSITION", f"unknown value {value!r}")
-    answer = Answer.from_raw(_last_answer(raw), kind)
-    return answer, value == "change"
+    position = _choice(raw, _POSITION_RE, "POSITION", POSITIONS)
+    return Answer.from_raw(_last_answer(raw), kind), position == "change"
 
 
 def _last_answer(raw: str) -> str:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +95,9 @@ def make_run(task: TaskInstance, backend, config: PipelineConfig | None = None,
         config = PipelineConfig(panel=Panel((default_panel().members[0],)), **fields)
     return PanelRun(task, config, backend, PromptLibrary.default(),
                     flatten_table(task.table, task.context))
+
+
+def readme_scripted_backend() -> str:
+    """The scripted backend example in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(r"```json\n(\{\"type\": \"scripted\".*?)```", readme, re.S).group(1)

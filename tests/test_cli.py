@@ -23,6 +23,8 @@ from tablepanel.gateway import BackendConfig, ChatRequest, OpenAIChatBackend
 from tablepanel.personas import OUTPUT_CONTRACTS, Panel, Persona, Stage
 from tablepanel.cli import _backend_summary, _read_table_file
 
+from conftest import readme_scripted_backend
+
 
 def script_file(path: Path, items: list[dict]) -> str:
     path.write_text(json.dumps({"type": "scripted", "script": items}), encoding="utf-8")
@@ -464,12 +466,6 @@ class TestAblate:
             main(["ablate", "tatqa", "fixture", "--config", "x", "--backend", backend])
         assert exc.value.code == 2
         assert "--config" in capsys.readouterr().err
-
-
-def readme_scripted_backend() -> str:
-    """The scripted backend example in README.md."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return re.search(r"```json\n(\{\"type\": \"scripted\".*?)```", readme, re.S).group(1)
 
 
 @pytest.mark.parametrize("kind", [k.value for k in DatasetKind])

@@ -44,6 +44,7 @@ from conftest import (
     make_backend,
     make_run,
     make_task,
+    readme_scripted_backend,
     stage_entries,
     stage_entry,
     unanimity_script,
@@ -540,6 +541,60 @@ class TestRunPanel:
         assert len(trace.rounds) == 2
         presented_equal = len({a.normalized for a in trace.rounds[0].values()}) == 1
         assert not presented_equal
+
+
+def readme_backend(newline: str) -> ScriptedBackend:
+    """The README script, its replies' line breaks written as ``newline``."""
+    script = json.loads(readme_scripted_backend())["script"]
+    return ScriptedBackend([ScriptEntry(e["response"].replace("\n", newline), e["match"],
+                                        e["repeat"]) for e in script])
+
+
+class TestReplyLineEnds:
+    def test_crlf_readme_script_runs_the_panel_of_its_lf_twin(self, qa_task):
+        config = ablation_presets(seed=3)["full"]
+        lf, crlf = (run_panel(qa_task, config, readme_backend(newline))
+                    for newline in ("\n", "\r\n"))
+        assert (crlf.outcome, crlf.final.raw, crlf.llm_calls) == (
+            OUTCOME_UNANIMOUS_INITIAL, "42", 20)
+        assert (crlf.outcome, crlf.final, crlf.presentation_order, crlf.llm_calls) == (
+            lf.outcome, lf.final, lf.presentation_order, lf.llm_calls)
+        # No parsed value, the rationales and notes included, keeps a "\r".
+        assert [r.parsed for r in crlf.records] == [r.parsed for r in lf.records]
+
+
+class TestLayerLookups:
+    """bench/probes.LayerTracer times the prompt and extraction layers by
+    swapping ``deliberation.render_prompt`` and ``deliberation.extract_*``;
+    the engine must look each of them up as a module global on every call."""
+
+    EXTRACTORS = {Stage.ASSESS: "extract_assessment", Stage.SOLVE: "extract_solution",
+                  Stage.VERIFY: "extract_verdict", Stage.PRESENT: "extract_presentation",
+                  Stage.DELIBERATE: "extract_deliberation"}
+
+    def test_swapped_layers_run_once_per_record_and_exchange(self, qa_task, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(deliberation, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in ("render_prompt", *self.EXTRACTORS.values()):
+            monkeypatch.setattr(deliberation, name, counting(name))
+        # The first solve reply breaks the contract and is re-asked once.
+        backend = make_backend([stage_entry(Stage.SOLVE, "no marker")] + unanimity_script("B-1"))
+        trace = run_panel(qa_task, ablation_presets(seed=3)["full"], backend)
+        assert trace.outcome == OUTCOME_UNANIMOUS_INITIAL and trace.llm_calls == 21
+        records = Counter(r.stage for r in trace.records)
+        assert records[Stage.SOLVE.value] == 6 and sum(records.values()) == 21
+        for stage, name in self.EXTRACTORS.items():
+            assert calls[name] == records[stage.value], name
+        # One prompt per exchange: the re-ask repeats the rendered request.
+        assert calls["render_prompt"] == 20
 
 
 class TestPanelWithoutPeerReview:

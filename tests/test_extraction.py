@@ -4,6 +4,8 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tablepanel.extraction import (
     AnalyticalNotes,
@@ -193,3 +195,61 @@ class TestRoundTrip:
                 answer, changed = extract_deliberation(
                     prefix + f"POSITION: {position}\nANSWER: {text}", QA)
                 assert (answer.raw, changed) == (text, position == "change")
+
+
+# --- CRLF line ends: a marker line may end in "\r\n"; no value keeps the "\r" --
+
+class TestCRLF:
+    def test_assessment(self):
+        complexity, notes = extract_assessment("COMPLEXITY: basic\r\nNOTES:\r\n- units\r\n")
+        assert complexity is Complexity.BASIC
+        assert notes.points == ("units",)
+
+    def test_solution(self):
+        assert extract_solution("reasoning first\r\nANSWER: 42\r\n", QA).raw == "42"
+
+    def test_verdict(self):
+        assert extract_verdict("thinking...\r\nVERDICT: validated\r\n") is Verdict.VALIDATED
+
+    def test_presentation(self):
+        answer, rationale = extract_presentation("RATIONALE: table lookup\r\nANSWER: 42\r\n", QA)
+        assert (answer.raw, rationale) == ("42", "table lookup")
+
+    def test_deliberation(self):
+        answer, changed = extract_deliberation("POSITION: change\r\nANSWER: 42\r\n", QA)
+        assert (answer.raw, changed) == ("42", True)
+
+
+_MARKERS = ("COMPLEXITY", "NOTES", "ANSWER", "VERDICT", "POSITION", "RATIONALE")
+_VALUES = ("", "basic", "Intermediate", "COMPLEX", "validated", "uncertain", "keep",
+           "Change", "difficult", "sure", "waver", "42", "B-1", "row two")
+_blanks = st.text(alphabet=" \t", max_size=2)
+_marker_line = st.builds(
+    lambda lead, name, case, gap, value, tail: f"{lead}{case(name)}:{gap}{value}{tail}",
+    _blanks, st.sampled_from(_MARKERS), st.sampled_from((str.upper, str.lower, str.title)),
+    _blanks, st.sampled_from(_VALUES), _blanks)
+_bullet_line = st.builds(lambda lead, gap, value, tail: f"{lead}-{gap}{value}{tail}",
+                         _blanks, _blanks, st.sampled_from(_VALUES), _blanks)
+_prose_line = st.sampled_from(("", "Let me check.", "the total is 42", "NOTES are below"))
+_replies = st.builds(lambda lines, end: "\n".join(lines) + end,
+                     st.lists(st.one_of(_marker_line, _bullet_line, _prose_line), max_size=7),
+                     st.sampled_from(("", "\n")))
+
+
+def _outcome(extract, raw: str):
+    try:
+        return extract(raw)
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestCRLFMatchesLF:
+    @given(_replies)
+    @settings(max_examples=300, deadline=None)
+    def test_every_extractor_reads_crlf_as_lf(self, raw):
+        crlf = raw.replace("\n", "\r\n")
+        for extract in (extract_assessment, extract_verdict,
+                        lambda r: extract_solution(r, QA),
+                        lambda r: extract_presentation(r, QA),
+                        lambda r: extract_deliberation(r, QA)):
+            assert _outcome(extract, crlf) == _outcome(extract, raw)
