@@ -40,6 +40,7 @@ class Verdict(str, Enum):
 
 # The POSITION choices of a deliberation reply: keep the answer, or change it.
 POSITIONS = ("keep", "change")
+_COMPLEXITIES, _VERDICTS = tuple(Complexity), tuple(Verdict)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,8 @@ _BULLET_RE = _marker("-", _TEXT)
 
 def _choice(raw: str, pattern: re.Pattern, marker: str, choices: tuple[str, ...]) -> str:
     """The first ``pattern`` value, stripped and lower-cased; raises
-    FormatError when the marker is absent or the value is not a choice."""
+    FormatError when the marker is absent or the value is not a choice.
+    The members of a str Enum are choices, as each equals its value."""
     m = pattern.search(raw)
     if not m:
         raise FormatError(marker)
@@ -86,7 +88,7 @@ def _choice(raw: str, pattern: re.Pattern, marker: str, choices: tuple[str, ...]
 
 
 def extract_assessment(raw: str) -> tuple[Complexity, AnalyticalNotes]:
-    complexity = Complexity(_choice(raw, _COMPLEXITY_RE, "COMPLEXITY", tuple(Complexity)))
+    complexity = Complexity(_choice(raw, _COMPLEXITY_RE, "COMPLEXITY", _COMPLEXITIES))
     notes_match = _NOTES_RE.search(raw)
     if not notes_match:
         raise FormatError("NOTES")
@@ -105,12 +107,11 @@ def extract_assessment(raw: str) -> tuple[Complexity, AnalyticalNotes]:
 def extract_solution(raw: str, kind: TaskKind) -> Answer:
     """The text after the last ANSWER: marker; raises FormatError if the
     marker is absent or empty."""
-    text = _last_answer(raw)
-    return Answer.from_raw(text, kind)
+    return Answer.from_raw(_last_answer(raw), kind)
 
 
 def extract_verdict(raw: str) -> Verdict:
-    return Verdict(_choice(raw, _VERDICT_RE, "VERDICT", tuple(Verdict)))
+    return Verdict(_choice(raw, _VERDICT_RE, "VERDICT", _VERDICTS))
 
 
 def extract_presentation(raw: str, kind: TaskKind) -> tuple[Answer, str]:
