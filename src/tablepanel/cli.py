@@ -111,8 +111,8 @@ def build_backend(path: str) -> OpenAIChatBackend | ScriptedBackend:
                 entries.append(entry)
             return ScriptedBackend(entries)
         if backend_type == "openai":
-            fields = {k: v for k, v in data.items() if k != "type"}
-            return OpenAIChatBackend(BackendConfig(**fields))
+            _check_keys(data, {"type", *(f.name for f in fields(BackendConfig))}, "")
+            return OpenAIChatBackend(BackendConfig(**{k: v for k, v in data.items() if k != "type"}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad backend config: {exc}", 1)
     raise CliError(f"unknown backend type {backend_type!r}", 1)

@@ -69,8 +69,12 @@ _FEVEROUS_ALIASES = {
 
 
 class ParseError(ValueError):
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    """A malformed dataset file. ``line`` counts within ``place``: a line of
+    the file (the default), a TAT-QA block, a SEM-TAB-FACTS table, or a line
+    of a companion file ("w.tables.jsonl line")."""
+
+    def __init__(self, line: int, reason: str, place: str = "line"):
+        super().__init__(f"{place} {line}: {reason}")
         self.line = line
         self.reason = reason
 
@@ -155,7 +159,7 @@ def _load_tatqa(path: Path) -> Iterator[TaskInstance]:
             ))
             questions = list(block["questions"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(i, f"malformed block: {exc}")
+            raise ParseError(i, f"malformed block: {exc}", "block")
         for q in questions:
             try:
                 task = TaskInstance(
@@ -167,7 +171,7 @@ def _load_tatqa(path: Path) -> Iterator[TaskInstance]:
                     gold=Answer.from_raw(_value_to_text(q["answer"]), kind),
                 )
             except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(i, f"malformed question: {exc}")
+                raise ParseError(i, f"malformed question: {exc}", "block")
             yield task
 
 
@@ -197,12 +201,12 @@ def _load_semtabfacts(path: Path) -> Iterator[TaskInstance]:
         try:
             table = _table_from_xml(table_elem)
         except ValueError as exc:
-            raise ParseError(i, f"malformed table: {exc}")
+            raise ParseError(i, f"malformed table: {exc}", "table")
         for stmt in table_elem.findall("statement"):
             sid = stmt.get("id")
             label = (stmt.get("label") or "").strip().lower()
             if sid is None or not (stmt.text or "").strip():
-                raise ParseError(i, "statement needs an id attribute and text")
+                raise ParseError(i, "statement needs an id attribute and text", "table")
             if label not in SEMTABFACTS_LABELS:
                 raise UnknownLabel(f"statement {sid}: label {label!r} not in {SEMTABFACTS_LABELS}")
             yield TaskInstance(
@@ -215,7 +219,7 @@ def _load_semtabfacts(path: Path) -> Iterator[TaskInstance]:
             )
 
 
-def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+def _read_jsonl(path: Path, place: str = "line") -> Iterator[tuple[int, dict]]:
     with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -224,14 +228,18 @@ def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
             try:
                 yield lineno, json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"invalid JSON: {exc.msg}")
+                raise ParseError(lineno, f"invalid JSON: {exc.msg}", place)
 
 
-def _sibling(path: Path, suffix: str) -> Path:
+def _companion(path: Path, suffix: str) -> Iterator[tuple[int, dict, str]]:
+    """The records of ``path``'s companion file, each with its line number and
+    the place an error on that line names ("w.tables.jsonl line")."""
     companion = path.with_name(path.stem + suffix)
     if not companion.exists():
         raise FileNotFoundError(f"expected companion file {companion}")
-    return companion
+    place = f"{companion.name} line"
+    for lineno, obj in _read_jsonl(companion, place):
+        yield lineno, obj, place
 
 
 def _table_from_record(obj: dict) -> Table:
@@ -241,11 +249,11 @@ def _table_from_record(obj: dict) -> Table:
 
 def _load_wikisql(path: Path) -> Iterator[TaskInstance]:
     tables: dict[str, Table] = {}
-    for lineno, obj in _read_jsonl(_sibling(path, ".tables.jsonl")):
+    for lineno, obj, place in _companion(path, ".tables.jsonl"):
         try:
             tables[str(obj["id"])] = _table_from_record(obj)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(lineno, f"malformed table record: {exc}")
+            raise ParseError(lineno, f"malformed table record: {exc}", place)
     kind = TaskKind.sql_denotation()
     for lineno, obj in _read_jsonl(path):
         try:
@@ -267,13 +275,13 @@ def _load_wikisql(path: Path) -> Iterator[TaskInstance]:
 
 def _load_feverous(path: Path) -> Iterator[TaskInstance]:
     retrieved: dict[str, list[str]] = {}
-    for lineno, obj in _read_jsonl(_sibling(path, ".retrieved.jsonl")):
+    for lineno, obj, place in _companion(path, ".retrieved.jsonl"):
         try:
             if type(obj["retrieved"]) is not list:
                 raise TypeError(f"retrieved must be a list of ids, got {obj['retrieved']!r}")
             retrieved[str(obj["id"])] = [str(x) for x in obj["retrieved"]]
         except (KeyError, TypeError) as exc:
-            raise ParseError(lineno, f"malformed retrieved record: {exc}")
+            raise ParseError(lineno, f"malformed retrieved record: {exc}", place)
     kind = TaskKind.fact_verify(FEVEROUS_LABELS)
     for lineno, obj in _read_jsonl(path):
         try:

@@ -335,14 +335,21 @@ class PanelRun:
     pool: Optional[Executor] = None
 
     def bindings(self, agent: AgentState, **extra: str) -> dict[str, str]:
-        """The prompt bindings every stage shares, plus the stage's own."""
-        return {
+        """The prompt bindings every stage shares, those the agent's own state
+        gives (its assessment, and its solution once it has one), plus
+        ``extra``, the stage's own."""
+        bindings = {
             "persona": persona_blurb(agent.persona),
             "task_description": task_description_for(self.task.kind),
             "flattened_input": self.flattened,
             "query": self.task.query.text,
+            "complexity": agent.complexity.value if agent.complexity else "not assessed",
+            "notes": _notes_binding(agent.notes),
             **extra,
         }
+        if agent.current_solution is not None:
+            bindings["prior_solution"] = agent.current_solution.raw
+        return bindings
 
 
 def _submit(run: PanelRun, *works: Callable[[PanelRun], object]) -> list[Future]:
@@ -456,38 +463,22 @@ def _exchange(run: PanelRun, agent: AgentState, stage: Stage, **extra: str) -> o
     raise StageFailed(agent.name, stage, last_reason)
 
 
-def investigate(run: PanelRun, agent: AgentState) -> AgentState:
-    """Assess the problem (complexity plus analytical notes), then formulate
-    an initial solution conditioned on that assessment. Two backend calls on
-    the happy path. Raises StageFailed when a step exhausts its retries."""
-    agent.complexity, agent.notes = _exchange(run, agent, Stage.ASSESS)
-    return direct_solve(run, agent)
-
-
-def direct_solve(run: PanelRun, agent: AgentState) -> AgentState:
-    """Answer in one solve call, conditioned on the agent's assessment when
-    it has one."""
-    agent.current_solution = _exchange(
-        run, agent, Stage.SOLVE,
-        complexity=agent.complexity.value if agent.complexity else "not assessed",
-        notes=_notes_binding(agent.notes),
-    )
-    return agent
-
-
-def _solve(run: PanelRun, agent: AgentState) -> AgentState:
+def solve(run: PanelRun, agent: AgentState) -> AgentState:
     """Solve the way the run's stages say, for the first solve and every
-    refinement alike: ``investigate`` when the investigation stage is on,
-    else ``direct_solve``."""
+    refinement alike: when the investigation stage is on, first assess the
+    problem (complexity plus analytical notes); then formulate a solution,
+    conditioned on the assessment when there is one. Raises StageFailed when
+    a step exhausts its retries."""
     if StageName.INVESTIGATION in run.config.stages:
-        return investigate(run, agent)
-    return direct_solve(run, agent)
+        agent.complexity, agent.notes = _exchange(run, agent, Stage.ASSESS)
+    agent.current_solution = _exchange(run, agent, Stage.SOLVE)
+    return agent
 
 
 def self_review(run: PanelRun, agent: AgentState) -> AgentState:
     """Verify the current solution; while the verdict is uncertain and
     refinement iterations remain, solve again as the first solve did
-    (``_solve``) and verify again. After ``t_max_self`` refinements the
+    (``solve``) and verify again. After ``t_max_self`` refinements the
     latest solution stands regardless of verdict. A failed step keeps the
     last good solution with an uncertain verdict."""
     if agent.current_solution is None:
@@ -496,9 +487,8 @@ def self_review(run: PanelRun, agent: AgentState) -> AgentState:
     try:
         for refinement in range(run.config.t_max_self + 1):
             if refinement:
-                _solve(run, agent)
-            agent.verdict = _exchange(run, agent, Stage.VERIFY,
-                                      prior_solution=agent.current_solution.raw)
+                solve(run, agent)
+            agent.verdict = _exchange(run, agent, Stage.VERIFY)
             if agent.verdict is not Verdict.UNCERTAIN:
                 break
     except StageFailed:
@@ -595,8 +585,7 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
                 return
             try:
                 agent.current_solution, rationales[agent.name] = _exchange(
-                    job, agent, Stage.PRESENT, prior_solution=agent.current_solution.raw,
-                    peer_solutions=_format_peers(presented, rationales))
+                    job, agent, Stage.PRESENT, peer_solutions=_format_peers(presented, rationales))
             except StageFailed:
                 pass
             presented[agent.name] = agent.current_solution
@@ -613,9 +602,7 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
         peers = _format_peers(current, rationales)
 
         def deliberate(job: PanelRun, agent: AgentState) -> None:
-            agent.current_solution, _changed = _exchange(
-                job, agent, Stage.DELIBERATE, prior_solution=agent.current_solution.raw,
-                peer_solutions=peers)
+            agent.current_solution, _ = _exchange(job, agent, Stage.DELIBERATE, peer_solutions=peers)
 
         active = [a for a in order if a.failed_stage not in (Stage.PRESENT, Stage.DELIBERATE)]
         _finish_jobs(run, [_submit(run, lambda job, agent=agent: deliberate(job, agent))[0]
@@ -672,7 +659,7 @@ def run_panel(
     try:
         # One chain per agent: its investigation, then its own self-review.
         reviewing = StageName.SELF_REVIEW in config.stages
-        chains = [_submit(run, lambda job, agent=agent: _solve(job, agent),
+        chains = [_submit(run, lambda job, agent=agent: solve(job, agent),
                           *([lambda job, agent=agent: agent.current_solution is None
                              or self_review(job, agent)] if reviewing else []))
                   for agent in agents]

@@ -52,10 +52,8 @@ class AnalyticalNotes:
         object.__setattr__(self, "points", points)
 
 
-# A value never holds "\r" or "\n". A choice (COMPLEXITY, VERDICT, POSITION)
-# needs at least one character, so a bare "COMPLEXITY:" line is not found.
+# A value never holds "\r" or "\n".
 _TEXT = r"[^\r\n]*?"
-_CHOICE = r"[^\r\n]+?"
 
 
 def _marker(name: str, value: str) -> re.Pattern:
@@ -65,23 +63,23 @@ def _marker(name: str, value: str) -> re.Pattern:
     return re.compile(rf"^[ \t]*{name}[ \t]*({value})[ \t]*\r?$", re.I | re.M)
 
 
-_COMPLEXITY_RE = _marker("COMPLEXITY:", _CHOICE)
+_COMPLEXITY_RE = _marker("COMPLEXITY:", _TEXT)
 _NOTES_RE = _marker("NOTES:", "")
 _ANSWER_RE = _marker("ANSWER:", _TEXT)
-_VERDICT_RE = _marker("VERDICT:", _CHOICE)
-_POSITION_RE = _marker("POSITION:", _CHOICE)
+_VERDICT_RE = _marker("VERDICT:", _TEXT)
+_POSITION_RE = _marker("POSITION:", _TEXT)
 _RATIONALE_RE = _marker("RATIONALE:", _TEXT)
 _BULLET_RE = _marker("-", _TEXT)
 
 
 def _choice(raw: str, pattern: re.Pattern, marker: str, choices: tuple[str, ...]) -> str:
     """The first ``pattern`` value, stripped and lower-cased; raises
-    FormatError when the marker is absent or the value is not a choice.
-    The members of a str Enum are choices, as each equals its value."""
+    FormatError when the marker is absent or blank, or the value is not a
+    choice. The members of a str Enum are choices, as each equals its value."""
     m = pattern.search(raw)
-    if not m:
+    value = m.group(1).strip().lower() if m else ""
+    if not value:
         raise FormatError(marker)
-    value = m.group(1).strip().lower()
     if value not in choices:
         raise FormatError(marker, f"unknown value {value!r}")
     return value

@@ -67,13 +67,25 @@ def items_of(value: Iterable, what: str) -> Iterable:
     return value
 
 
+_LINE_BREAK_RE = re.compile(r"\r\n?|\n")
+
+
+def _one_line(texts: tuple[str, ...]) -> tuple[str, ...]:
+    """``texts`` with each CRLF, CR or LF turned into one space."""
+    joined = "".join(texts)
+    if "\n" not in joined and "\r" not in joined:
+        return texts
+    return tuple(_LINE_BREAK_RE.sub(" ", t) for t in texts)
+
+
 @dataclass(frozen=True)
 class Table:
     """A relational table: headers plus row-major cells.
 
     Rows shorter than the header are padded with empty strings at
     construction; rows longer than the header are rejected (cell values are
-    never truncated).
+    never truncated). A line break inside a header, cell or caption becomes
+    one space, so each row stays one line of the flattened table.
     """
 
     headers: tuple[str, ...]
@@ -81,13 +93,13 @@ class Table:
     caption: Optional[str] = None
 
     def __post_init__(self) -> None:
-        headers = tuple(str(h) for h in items_of(self.headers, "header"))
+        headers = _one_line(tuple(str(h) for h in items_of(self.headers, "header")))
         if not headers:
             raise ValueError("table must have at least one header")
         width = len(headers)
         padded = []
         for i, row in enumerate(items_of(self.rows, "rows")):
-            cells = tuple(str(c) for c in items_of(row, "each row"))
+            cells = _one_line(tuple(str(c) for c in items_of(row, "each row")))
             if len(cells) > width:
                 raise ValueError(f"row {i} has {len(cells)} cells, header has {width}")
             if len(cells) < width:
@@ -95,6 +107,8 @@ class Table:
             padded.append(cells)
         object.__setattr__(self, "headers", headers)
         object.__setattr__(self, "rows", tuple(padded))
+        if self.caption is not None:
+            object.__setattr__(self, "caption", _one_line((str(self.caption),))[0])
 
 
 @dataclass(frozen=True)

@@ -157,13 +157,13 @@ def test_criterion_5_self_review_loop_semantics(qa_task):
     """Scripted verdict sequences produce the derived call counts and final
     solutions for t_max_self in {1, 2}."""
     def prepared_agent():
-        from tablepanel.deliberation import AgentState, investigate
+        from tablepanel.deliberation import AgentState, solve
         from tablepanel.personas import default_panel
         agent = AgentState(persona=default_panel().members[0])
-        investigate(make_run(qa_task, make_backend([
+        solve(make_run(qa_task, make_backend([
             stage_entry(Stage.ASSESS, assessment_text()),
             stage_entry(Stage.SOLVE, "ANSWER: 5"),
-        ])), agent)
+        ]), stages={StageName.INVESTIGATION}), agent)
         return agent
 
     refine = [stage_entry(Stage.ASSESS, assessment_text()),

@@ -21,6 +21,7 @@ from tablepanel.datasets import DatasetKind, fixture
 from tablepanel.deliberation import PipelineConfig, StageName, ablation_presets
 from tablepanel.gateway import BackendConfig, ChatRequest, OpenAIChatBackend
 from tablepanel.personas import OUTPUT_CONTRACTS, Panel, Persona, Stage
+from tablepanel.tables import flatten_table
 from tablepanel.cli import _backend_summary, _read_table_file
 
 from conftest import readme_scripted_backend
@@ -124,6 +125,13 @@ class TestAsk:
         table = tmp_path / "t.csv"
         table.write_text('Year,Trend\n2019,"up\u2028strongly"\n2020,flat\n', encoding="utf-8")
         assert _read_table_file(str(table))[0].rows == (("2019", "up\u2028strongly"), ("2020", "flat"))
+
+    def test_multi_line_csv_cell_stays_one_row(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text('Item,Note\r\na,"line1\r\nline2"\r\nb,x\r\n', encoding="utf-8")
+        parsed, context = _read_table_file(str(table))
+        assert parsed.rows == (("a", "line1 line2"), ("b", "x"))
+        assert flatten_table(parsed, context).count("\n") == 2
 
     def test_blank_csv_line_is_no_row(self, tmp_path):
         table = tmp_path / "t.csv"
@@ -707,6 +715,7 @@ MALFORMED = {
     # A misspelt key would give an empty script, or an entry that matches every request.
     "backend-unknown-key": ("backend", {"type": "scripted",
                                         "scrpt": [{"response": "hi", "repeat": None}]}),
+    "backend-openai-unknown-key": ("backend", {**OPENAI, "max_retry": 3}),
     "backend-unknown-entry-key": ("backend", {"type": "scripted", "script": [
         {"response": "hi", "matcher": "ANSWER", "repeat": None}]}),
     "backend-max-retries-float": ("backend", {**OPENAI, "max_retries": 1.5}),

@@ -92,6 +92,60 @@ class TestLoaderErrors:
             list(load(DatasetKind.WIKISQL, bad))
         assert err.value.line == 2
 
+    def _error(self, kind: DatasetKind, path) -> str:
+        with pytest.raises(ParseError) as err:
+            list(load(kind, path))
+        return str(err.value)
+
+    def test_tatqa_question_error_names_its_block(self, tmp_path):
+        doc = tmp_path / "t.json"
+        blocks = [{"table": {"table": [["a"], ["1"]]},
+                   "questions": [{"uid": f"q{i}", "question": question, "answer": "1"}]}
+                  for i, question in enumerate(("How much?", "   "))]
+        doc.write_text(json.dumps(blocks, indent=2), encoding="utf-8")  # the blank one on line 35
+        assert self._error(DatasetKind.TATQA, doc).startswith("block 2: malformed question: ")
+
+    def test_tatqa_block_error_names_its_block(self, tmp_path):
+        doc = tmp_path / "t.json"
+        blocks = [{"table": {"table": [["a"], ["1"]]}, "questions": []}, {"table": {}}]
+        doc.write_text(json.dumps(blocks), encoding="utf-8")
+        assert self._error(DatasetKind.TATQA, doc).startswith("block 2: malformed block: ")
+
+    @pytest.mark.parametrize("second,message", [
+        ("<header><cell>A</cell></header><row><cell>1</cell><cell>2</cell></row>",
+         "table 2: malformed table: "),
+        ("<header><cell>A</cell></header><statement id='s2' label='refuted'> </statement>",
+         "table 2: statement needs an id attribute and text"),
+    ], ids=["row-too-long", "blank-statement"])
+    def test_semtabfacts_error_names_its_table(self, tmp_path, second, message):
+        doc = tmp_path / "s.xml"
+        doc.write_text(
+            "<corpus>\n<table id='t1'><header><cell>A</cell></header>"
+            "<statement id='s1' label='entailed'>claim</statement></table>\n"
+            f"<table id='t2'>{second}</table>\n</corpus>", encoding="utf-8")
+        assert self._error(DatasetKind.SEMTABFACTS, doc).startswith(message)
+
+    @pytest.mark.parametrize("second,message", [
+        ('{"id": "t2", "rows": []}', "w.tables.jsonl line 2: malformed table record: "),
+        ("{oops", "w.tables.jsonl line 2: invalid JSON: "),
+    ], ids=["bad-record", "bad-json"])
+    def test_wikisql_tables_file_error_names_that_file(self, tmp_path, second, message):
+        data = tmp_path / "w.jsonl"
+        data.write_text('{"id": "x1", "question": "q", "table_id": "t", "denotation": ["1"]}\n',
+                        encoding="utf-8")
+        (tmp_path / "w.tables.jsonl").write_text(
+            '{"id": "t", "header": ["a"], "rows": []}\n' + second + "\n", encoding="utf-8")
+        assert self._error(DatasetKind.WIKISQL, data).startswith(message)
+
+    def test_feverous_retrieved_file_error_names_that_file(self, tmp_path):
+        data = tmp_path / "f.jsonl"
+        data.write_text("{}\n", encoding="utf-8")
+        (tmp_path / "f.retrieved.jsonl").write_text(
+            '{"id": "f1", "retrieved": ["e1"]}\n{"id": "f2", "retrieved": "e1"}\n',
+            encoding="utf-8")
+        assert self._error(DatasetKind.FEVEROUS, data).startswith(
+            "f.retrieved.jsonl line 2: malformed retrieved record: ")
+
     def test_wikisql_unknown_table_id(self, tmp_path):
         data = tmp_path / "w.jsonl"
         data.write_text('{"id": "x1", "question": "q", "table_id": "missing", "denotation": ["1"]}\n',

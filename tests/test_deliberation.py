@@ -27,12 +27,11 @@ from tablepanel.deliberation import (
     StageName,
     ablation_presets,
     consensus_check,
-    direct_solve,
-    investigate,
     majority_vote,
     peer_review,
     run_panel,
     self_review,
+    solve,
 )
 from tablepanel.extraction import Complexity, Verdict
 from tablepanel.gateway import ChatRequest, ScriptedBackend, ScriptEntry, TransportError
@@ -64,13 +63,15 @@ def ans(text: str, kind: TaskKind = QA) -> Answer:
 
 
 class TestInvestigate:
+    """``solve`` with the investigation stage on: assess, then solve."""
+
     def test_happy_path_two_calls(self, qa_task):
         backend = make_backend([
             stage_entry(Stage.ASSESS, "COMPLEXITY: intermediate\nNOTES:\n- unit standardization"),
             stage_entry(Stage.SOLVE, "ANSWER: 120"),
         ])
-        run = make_run(qa_task, backend)
-        a = investigate(run, agent())
+        run = make_run(qa_task, backend, stages=INVESTIGATING)
+        a = solve(run, agent())
         assert a.complexity is Complexity.INTERMEDIATE
         assert a.notes.points == ("unit standardization",)
         assert a.current_solution.raw == "120"
@@ -81,14 +82,15 @@ class TestInvestigate:
             stage_entry(Stage.ASSESS, "COMPLEXITY: basic\nNOTES:"),
             stage_entry(Stage.SOLVE, "ANSWER: Refuted"),
         ])
-        a = investigate(make_run(qa_task, backend), agent())
+        a = solve(make_run(qa_task, backend, stages=INVESTIGATING), agent())
         assert a.complexity is Complexity.BASIC
         assert a.current_solution.raw == "Refuted"
 
     def test_garbage_with_no_retry_fails_stage(self, qa_task):
-        run = make_run(qa_task, make_backend(["garbage", "garbage"]), format_retry=0)
+        run = make_run(qa_task, make_backend(["garbage", "garbage"]), format_retry=0,
+                       stages=INVESTIGATING)
         with pytest.raises(StageFailed) as err:
-            investigate(run, agent())
+            solve(run, agent())
         assert err.value.stage is Stage.ASSESS
         assert run.recorder.calls == 1  # one attempt, no retry
 
@@ -98,8 +100,8 @@ class TestInvestigate:
             stage_entry(Stage.ASSESS, assessment_text()),
             stage_entry(Stage.SOLVE, "ANSWER: 7"),
         ])
-        run = make_run(qa_task, backend, format_retry=1)
-        a = investigate(run, agent())
+        run = make_run(qa_task, backend, format_retry=1, stages=INVESTIGATING)
+        a = solve(run, agent())
         assert a.current_solution.raw == "7"
         assert run.recorder.calls == 3
 
@@ -108,7 +110,7 @@ class TestInvestigate:
             stage_entry(Stage.ASSESS, assessment_text()),
             stage_entry(Stage.SOLVE, "ANSWER: 1"),
         ])
-        a = investigate(make_run(qa_task, backend), agent())
+        a = solve(make_run(qa_task, backend, stages=INVESTIGATING), agent())
         assert [m.role for m in a.history] == ["user", "assistant", "user", "assistant"]
 
     def test_solve_prompt_carries_assessment_bindings(self, qa_task):
@@ -120,16 +122,18 @@ class TestInvestigate:
             stage_entry(Stage.ASSESS, "COMPLEXITY: complex\nNOTES:\n- watch the units"),
             spy_entry,
         ])
-        investigate(make_run(qa_task, backend), agent())
+        solve(make_run(qa_task, backend, stages=INVESTIGATING), agent())
         assert "complex" in seen[0]
         assert "- watch the units" in seen[0]
 
 
 class TestDirectSolve:
+    """``solve`` with the investigation stage off: one solve call."""
+
     def test_single_call(self, qa_task):
         backend = make_backend([stage_entry(Stage.SOLVE, "ANSWER: 42")])
         run = make_run(qa_task, backend)
-        a = direct_solve(run, agent())
+        a = solve(run, agent())
         assert a.current_solution.raw == "42"
         assert a.complexity is None
         assert run.recorder.calls == 1
@@ -137,7 +141,7 @@ class TestDirectSolve:
     def test_retry_then_success(self, qa_task):
         backend = make_backend(["no marker", stage_entry(Stage.SOLVE, "ANSWER: 7")])
         run = make_run(qa_task, backend, format_retry=1)
-        a = direct_solve(run, agent())
+        a = solve(run, agent())
         assert a.current_solution.raw == "7"
         assert run.recorder.calls == 2
 
@@ -145,7 +149,7 @@ class TestDirectSolve:
         task = make_task(kind=FACT)
         backend = make_backend([stage_entry(Stage.SOLVE, "ANSWER: probably true")])
         run = make_run(task, backend)
-        a = direct_solve(run, agent())
+        a = solve(run, agent())
         assert a.current_solution.raw == "probably true"
         assert a.current_solution.normalized == "probably true"  # not a canonical label
         assert run.recorder.calls == 1
@@ -162,7 +166,7 @@ class TestSelfReview:
             stage_entry(Stage.ASSESS, assessment_text()),
             stage_entry(Stage.SOLVE, "ANSWER: 5"),
         ])
-        investigate(make_run(qa_task, backend_pre), a)
+        solve(make_run(qa_task, backend_pre, stages=INVESTIGATING), a)
         return a
 
     def test_validated_stops_after_one_call(self, qa_task):
@@ -318,7 +322,7 @@ def solved_agents(task, answers: list[str]) -> list[AgentState]:
     for persona, text in zip(default_panel().members, answers):
         a = AgentState(persona=persona)
         backend = make_backend([stage_entry(Stage.SOLVE, f"ANSWER: {text}")])
-        direct_solve(make_run(task, backend), a)
+        solve(make_run(task, backend), a)
         agents.append(a)
     return agents
 

@@ -220,6 +220,22 @@ class TestCRLF:
         assert (answer.raw, changed) == ("42", True)
 
 
+_CHOICE_EXTRACTORS = {"COMPLEXITY": extract_assessment, "VERDICT": extract_verdict,
+                      "POSITION": lambda raw: extract_deliberation(raw + "ANSWER: 42\n", QA)}
+
+
+class TestBlankChoice:
+    """A choice marker with nothing but blanks after it is not found, as a
+    bare one is, whichever line end closes it."""
+
+    @pytest.mark.parametrize("marker", list(_CHOICE_EXTRACTORS))
+    @pytest.mark.parametrize("line", [":\n", ":  \n", ": \t\n", ":\r\n", ":\t\r\n", ":  \r\n"])
+    def test_blank_value_is_not_found(self, marker, line):
+        with pytest.raises(FormatError) as err:
+            _CHOICE_EXTRACTORS[marker](f"{marker}{line}NOTES:\n")
+        assert str(err.value) == f"expected marker {marker!r} not found"
+
+
 _MARKERS = ("COMPLEXITY", "NOTES", "ANSWER", "VERDICT", "POSITION", "RATIONALE")
 _VALUES = ("", "basic", "Intermediate", "COMPLEX", "validated", "uncertain", "keep",
            "Change", "difficult", "sure", "waver", "42", "B-1", "row two")

@@ -72,14 +72,38 @@ class TestFlatten:
         out = flatten_table(t, ContextPassages())
         assert out == "name\na \\| b"
 
+    def test_line_breaks_in_cells_become_spaces(self):
+        t = Table(("Item", "Note"), (("a", "line1\nline2"), ("b", "x")))
+        out = flatten_table(t, ContextPassages())
+        assert out == "Item | Note\na | line1 line2\nb | x"
+        assert parse_flattened(out)[0] == t
+
+    def test_crlf_and_cr_in_headers_and_caption_become_spaces(self):
+        t = Table(("A\r\nB",), (("c\rd",),), caption="two\r\nlines\nhere")
+        assert t.headers == ("A B",)
+        assert t.rows == (("c d",),)
+        assert flatten_table(t, ContextPassages()) == "Caption: two lines here\nA B\nc d"
+
+    def test_passages_keep_their_line_breaks(self):
+        t = Table(("A",), (("1",),))
+        out = flatten_table(t, ContextPassages(("first\nsecond",)))
+        assert out == "A\n1\n\n[P1] first\nsecond"
+
     def test_deterministic(self):
         t = Table(headers=("x", "y"), rows=(("1", "2"),), caption="c")
         ctx = ContextPassages(("p",))
         assert flatten_table(t, ctx) == flatten_table(t, ctx)
 
 
+# Headers, cells and the caption may hold line breaks (each becomes one
+# space); a passage is prose and keeps its own, so its text has none here.
 _cell = st.text(
+    alphabet=st.one_of(st.characters(blacklist_categories=("Cs",)), st.sampled_from("\r\n")),
+    max_size=12,
+)
+_passage = st.text(
     alphabet=st.characters(blacklist_characters="\n\r", blacklist_categories=("Cs",)),
+    min_size=1,
     max_size=12,
 )
 
@@ -89,8 +113,8 @@ class TestFlattenRoundTrip:
     @given(
         headers=st.lists(_cell, min_size=1, max_size=4),
         rows=st.lists(st.lists(_cell, max_size=4), max_size=4),
-        caption=st.one_of(st.none(), _cell.filter(lambda s: "\n" not in s)),
-        passages=st.lists(_cell.filter(bool), max_size=3),
+        caption=st.one_of(st.none(), _cell),
+        passages=st.lists(_passage, max_size=3),
     )
     def test_parse_inverts_flatten(self, headers, rows, caption, passages):
         table = Table(headers=tuple(headers),
