@@ -17,7 +17,6 @@ from .deliberation import (
     StageFailed,
     StageName,
     ablation_presets,
-    consensus_check,
     majority_vote,
     run_panel,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "TransportError",
     "ablation_presets",
     "alternative_panel",
-    "consensus_check",
     "default_panel",
     "fixture",
     "flatten_table",

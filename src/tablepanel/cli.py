@@ -43,7 +43,6 @@ from .tables import (
     Table,
     TaskInstance,
     TaskKind,
-    UnknownLabel,
     items_of,
     parse_flattened,
 )
@@ -100,7 +99,7 @@ def build_backend(path: str) -> OpenAIChatBackend | ScriptedBackend:
                                  'with {"response": FALLBACK, "repeat": null} instead')
             _check_keys(data, {"type", "script", "strict"}, "")
             entries = []
-            for item in data.get("script", []):
+            for item in items_of(data.get("script", []), "script"):
                 if not isinstance(item, dict):
                     raise TypeError(f"script entry {item!r} is not an object")
                 _check_keys(item, {"response", "match", "repeat"}, f"script entry {item!r}: ")
@@ -187,7 +186,7 @@ def _load_tasks(kind: DatasetKind, path: str, limit: Optional[int]) -> list[Task
         raise CliError(f"dataset file not found: {source}", 1)
     try:
         tasks = list(load(kind, source, limit))
-    except (ParseError, UnknownLabel, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot load dataset: {exc}", 1)
     seen = set()
     for task in tasks:
@@ -413,6 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-max", type=int, default=None, dest="t_max",
                        help="override deliberation round cap")
 
+    def add_dataset(p, jobs: bool = True):
+        p.add_argument("kind", choices=kinds)
+        p.add_argument("path", help="dataset file, or 'fixture' for the bundled mini corpus")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="task-level parallelism")
+        p.add_argument("--limit", type=int, default=None)
+
     ask = sub.add_parser("ask", help="answer one ad-hoc question about a table file")
     ask.add_argument("--table", required=True, help="CSV file or flattened-grammar text file")
     ask.add_argument("--query", required=True)
@@ -421,10 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     ask.set_defaults(func=cmd_ask)
 
     bench = sub.add_parser("bench", help="run a dataset and print a metric report")
-    bench.add_argument("kind", choices=kinds)
-    bench.add_argument("path", help="dataset file, or 'fixture' for the bundled mini corpus")
-    bench.add_argument("--jobs", type=int, default=1, help="task-level parallelism")
-    bench.add_argument("--limit", type=int, default=None)
+    add_dataset(bench)
     bench.add_argument("--out", default="runs/bench", help="output directory")
     add_common(bench)
     bench.set_defaults(func=cmd_bench)
@@ -432,19 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default="full", help="preset name or JSON config file")
 
     ablate = sub.add_parser("ablate", help="run every pipeline preset over one dataset")
-    ablate.add_argument("kind", choices=kinds)
-    ablate.add_argument("path")
-    ablate.add_argument("--jobs", type=int, default=1)
-    ablate.add_argument("--limit", type=int, default=None)
+    add_dataset(ablate)
     ablate.add_argument("--out", default=None)
     add_common(ablate)
     ablate.set_defaults(func=cmd_ablate)
 
     score = sub.add_parser("score", help="re-score a trace file offline (no backend calls)")
     score.add_argument("trace_file")
-    score.add_argument("kind", choices=kinds)
-    score.add_argument("path")
-    score.add_argument("--limit", type=int, default=None)
+    add_dataset(score, jobs=False)
     score.set_defaults(func=cmd_score)
     return parser
 

@@ -41,7 +41,6 @@ from .tables import (
     Table,
     TaskInstance,
     TaskKind,
-    UnknownLabel,
     items_of,
 )
 
@@ -208,7 +207,8 @@ def _load_semtabfacts(path: Path) -> Iterator[TaskInstance]:
             if sid is None or not (stmt.text or "").strip():
                 raise ParseError(i, "statement needs an id attribute and text", "table")
             if label not in SEMTABFACTS_LABELS:
-                raise UnknownLabel(f"statement {sid}: label {label!r} not in {SEMTABFACTS_LABELS}")
+                raise ParseError(i, f"statement {sid}: label {label!r} not in {SEMTABFACTS_LABELS}",
+                                 "table")
             yield TaskInstance(
                 id=sid,
                 table=table,
@@ -287,7 +287,7 @@ def _load_feverous(path: Path) -> Iterator[TaskInstance]:
         try:
             label = _FEVEROUS_ALIASES.get(str(obj["label"]).strip().lower())
             if label is None:
-                raise UnknownLabel(f"line {lineno}: label {obj['label']!r} not recognized")
+                raise ValueError(f"label {obj['label']!r} not recognized")
             item_id = str(obj["id"])
             if item_id not in retrieved:
                 raise ValueError(f"no retrieved evidence for id {item_id!r}")
@@ -303,8 +303,6 @@ def _load_feverous(path: Path) -> Iterator[TaskInstance]:
                 gold=Answer.from_raw(label, kind),
                 evidence=FeverousEvidence(retrieved_ids=retrieved[item_id], gold_sets=gold),
             )
-        except UnknownLabel:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(lineno, f"malformed record: {exc}")
         yield task

@@ -2,9 +2,10 @@
 
 One run walks a panel of persona-conditioned agents through up to three
 stages: investigation (assess, then solve), self-review (verify with bounded
-refinement), and peer review (ordered individual presentation, consensus
-short-circuit, bounded collective deliberation rounds, majority-vote
-fallback). Every model exchange is recorded into a replayable trace.
+refinement), and peer review (ordered individual presentation, then bounded
+collective deliberation rounds). One vote ends every panel: unanimity stops
+it, and at the cap the majority answer wins. Every model exchange is
+recorded into a replayable trace.
 
 ``run_panel`` builds one ``PanelRun`` per run: the task, its pipeline config,
 backend, prompt templates and flattened table, and the recorder of its calls
@@ -38,7 +39,7 @@ from collections import Counter
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from types import NoneType
+from types import MappingProxyType, NoneType
 from typing import Callable, Mapping, Optional, Sequence
 
 from .extraction import (
@@ -496,17 +497,6 @@ def self_review(run: PanelRun, agent: AgentState) -> AgentState:
     return agent
 
 
-def consensus_check(solutions: Mapping[str, Answer]) -> Optional[Answer]:
-    """The shared answer iff every normalized form is identical, else None."""
-    if not solutions:
-        raise ValueError("consensus_check requires at least one solution")
-    answers = list(solutions.values())
-    first = answers[0]
-    if all(a.normalized == first.normalized for a in answers[1:]):
-        return first
-    return None
-
-
 def majority_vote(solutions: Mapping[str, Answer], presentation_order: Sequence[str]) -> Answer:
     """The most-supported normalized answer; ties go to the group whose
     earliest supporter presented earliest."""
@@ -519,6 +509,14 @@ def majority_vote(solutions: Mapping[str, Answer], presentation_order: Sequence[
         return -support[solutions[name].normalized], position.get(name, len(presentation_order))
 
     return solutions[min(solutions, key=rank)]
+
+
+def _vote(answers: Mapping[str, Answer], order: Sequence[str]) -> tuple[Answer, bool]:
+    """How every panel ends: the ``majority_vote`` answer, and whether every
+    normalized answer equals it. A unanimous panel's answer is the one first
+    in ``order``, or else first in ``answers``."""
+    final = majority_vote(answers, order)
+    return final, all(a.normalized == final.normalized for a in answers.values())
 
 
 @dataclass
@@ -544,29 +542,31 @@ def _format_peers(entries: Mapping[str, Answer], rationales: Mapping[str, str]) 
 
 
 def peer_review(run: PanelRun, agents: Sequence[AgentState],
-                reviews: Sequence[Future] = ()) -> PeerReviewResult:
+                reviews: Mapping[str, Future] = MappingProxyType({})) -> PeerReviewResult:
     """Ordered individual presentation, then bounded collective deliberation.
 
     Presentation order is a shuffle drawn from ``ordering_seed`` alone, so
     every task of a run presents in the same order; each presenter sees all
-    earlier presentations and may adjust its answer. Unanimity after the
-    presentations ends the run; otherwise up to ``t_max_panel`` deliberation
-    rounds run, each agent seeing the full previous round, its own entry
-    included, with a consensus check after each round and majority voting at
-    the cap. An agent whose presentation or deliberation fails keeps its last
-    answer, abstains from later rounds, and still counts in every consensus
-    check and vote. A round's agents are those whose ``failed_stage`` is
-    neither of these two, so one whose self-review failed deliberates in
-    every round. They run concurrently on ``run.pool`` when the run has one.
+    earlier presentations and may adjust its answer. The answers after the
+    presentations are round 0; up to ``t_max_panel`` deliberation rounds
+    follow, each agent seeing the full previous round, its own entry
+    included. ``_vote`` ends the panel: unanimity at round 0 is the outcome
+    ``UNANIMOUS_INITIAL``, at a later round ``CONSENSUS_ROUND``, and without
+    unanimity by the cap the majority answer wins (``MAJORITY_VOTE``). An
+    agent whose presentation or deliberation fails keeps its last answer,
+    abstains from later rounds, and still counts in every vote. A round's
+    agents are those whose ``failed_stage`` is neither of these two, so one
+    whose self-review failed deliberates in every round. They run
+    concurrently on ``run.pool`` when the run has one.
 
-    ``reviews`` are the agents' self-review jobs, one per agent in
-    ``agents`` order, each the second job of its agent's chain from
-    ``run_panel`` and possibly still running. The presentations
-    are one more job after them: each presenter waits for its own review
-    alone, and the chain stops before the first presenter whose review
-    raised a GatewayError. ``_finish_jobs`` then merges the review records in
-    agent order and the presentations after them, and raises the first error
-    in that order, so a self-review's error wins over a presentation's.
+    ``reviews`` maps agent names to their self-review jobs, each the second
+    job of its agent's chain from ``run_panel`` and possibly still running.
+    The presentations are one more job after them: each presenter waits for
+    its own review alone, and the chain stops before the first presenter
+    whose review raised a GatewayError. ``_finish_jobs`` then merges the
+    review records in ``reviews`` order and the presentations after them, and
+    raises the first error in that order, so a self-review's error wins over
+    a presentation's.
     """
     if not agents or any(a.current_solution is None for a in agents):
         raise ValueError("peer_review requires agents with solutions")
@@ -575,13 +575,12 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
     rng.shuffle(order)
     presentation_order = [a.name for a in order]
 
-    review_of = dict(zip((a.name for a in agents), reviews))
     rationales: dict[str, str] = {}
     presented: dict[str, Answer] = {}
 
     def present(job: PanelRun) -> None:
         for agent in order:
-            if agent.name in review_of and review_of[agent.name].result()[1] is not None:
+            if agent.name in reviews and reviews[agent.name].result()[1] is not None:
                 return
             try:
                 agent.current_solution, rationales[agent.name] = _exchange(
@@ -590,32 +589,27 @@ def peer_review(run: PanelRun, agents: Sequence[AgentState],
                 pass
             presented[agent.name] = agent.current_solution
 
-    _finish_jobs(run, [*reviews, *_submit(run, present)])
-
-    shared = consensus_check(presented)
-    if shared is not None:
-        return PeerReviewResult(shared, OUTCOME_UNANIMOUS_INITIAL, None, presentation_order, [])
+    _finish_jobs(run, [*reviews.values(), *_submit(run, present)])
 
     rounds: list[dict[str, Answer]] = []
-    current = presented
-    for round_no in range(1, run.config.t_max_panel + 1):
-        peers = _format_peers(current, rationales)
+    for round_no in range(run.config.t_max_panel + 1):
+        if round_no:
+            peers = _format_peers(rounds[-1], rationales)
 
-        def deliberate(job: PanelRun, agent: AgentState) -> None:
-            agent.current_solution, _ = _exchange(job, agent, Stage.DELIBERATE, peer_solutions=peers)
+            def deliberate(job: PanelRun, agent: AgentState) -> None:
+                agent.current_solution, _ = _exchange(job, agent, Stage.DELIBERATE,
+                                                      peer_solutions=peers)
 
-        active = [a for a in order if a.failed_stage not in (Stage.PRESENT, Stage.DELIBERATE)]
-        _finish_jobs(run, [_submit(run, lambda job, agent=agent: deliberate(job, agent))[0]
-                           for agent in active])
+            active = [a for a in order if a.failed_stage not in (Stage.PRESENT, Stage.DELIBERATE)]
+            _finish_jobs(run, [_submit(run, lambda job, agent=agent: deliberate(job, agent))[0]
+                               for agent in active])
         # An abstaining agent's current solution is its answer of the previous round.
-        current = {a.name: a.current_solution for a in order}
-        rounds.append(current)
-        shared = consensus_check(current)
-        if shared is not None:
-            return PeerReviewResult(shared, OUTCOME_CONSENSUS_ROUND, round_no, presentation_order, rounds)
-
-    final = majority_vote(current, presentation_order)
-    return PeerReviewResult(final, OUTCOME_MAJORITY_VOTE, None, presentation_order, rounds)
+        rounds.append({a.name: a.current_solution for a in order})
+        final, unanimous = _vote(rounds[-1], presentation_order)
+        if unanimous:
+            outcome = OUTCOME_CONSENSUS_ROUND if round_no else OUTCOME_UNANIMOUS_INITIAL
+            return PeerReviewResult(final, outcome, round_no or None, presentation_order, rounds[1:])
+    return PeerReviewResult(final, OUTCOME_MAJORITY_VOTE, None, presentation_order, rounds[1:])
 
 
 def run_panel(
@@ -642,12 +636,12 @@ def run_panel(
     presenter once its own review is done; otherwise the same chains run one
     after another. The trace is the same either way.
 
-    Without the peer-review stage a panel ends on its solvers' answers, by
-    the rules peer review ends by: one shared answer is the outcome
-    ``UNANIMOUS_INITIAL``; otherwise ``majority_vote`` decides, ties going to
-    the member earlier in panel order, and the outcome is ``MAJORITY_VOTE``.
-    Such a trace has no presentation order and no rounds. A one-member panel
-    always ends unanimous.
+    Without the peer-review stage a panel ends on its solvers' answers by
+    the vote peer review ends by (``_vote``): one shared answer is the
+    outcome ``UNANIMOUS_INITIAL``; otherwise the majority answer wins, ties
+    going to the member earlier in panel order, and the outcome is
+    ``MAJORITY_VOTE``. Such a trace has no presentation order and no rounds.
+    A one-member panel always ends unanimous.
     """
     agents = [AgentState(persona=p) for p in config.panel.members]
     fan_out = len(agents) > 1 and getattr(backend, "order_independent", False)
@@ -659,18 +653,18 @@ def run_panel(
     try:
         # One chain per agent: its investigation, then its own self-review.
         reviewing = StageName.SELF_REVIEW in config.stages
-        chains = [_submit(run, lambda job, agent=agent: solve(job, agent),
-                          *([lambda job, agent=agent: agent.current_solution is None
-                             or self_review(job, agent)] if reviewing else []))
-                  for agent in agents]
-        investigations = [chain[0] for chain in chains]
-        reviews = [chain[1] for chain in chains if reviewing]
+        chains = {agent.name: _submit(run, lambda job, agent=agent: solve(job, agent),
+                                      *([lambda job, agent=agent: agent.current_solution is None
+                                         or self_review(job, agent)] if reviewing else []))
+                  for agent in agents}
+        investigations = [chain[0] for chain in chains.values()]
+        # A non-solver's review is a no-op: it adds no record, call or error.
+        reviews = {name: chain[1] for name, chain in chains.items() if reviewing}
         # A backend error in investigation ends the task once the other agents'
         # self-reviews have ended too; their records follow the investigations'.
         failed = any(job.result()[1] is not None for job in investigations)
-        _finish_jobs(run, [*investigations, *reviews] if failed else investigations)
+        _finish_jobs(run, [*investigations, *reviews.values()] if failed else investigations)
         solvers = [a for a in agents if a.current_solution is not None]
-        reviews = [job for a, job in zip(agents, reviews) if a.current_solution is not None]
 
         if not solvers:
             trace.complete = False
@@ -683,11 +677,9 @@ def run_panel(
             trace.consensus_round = result.consensus_round
             trace.final = result.final
         else:
-            _finish_jobs(run, reviews)
-            answers = {a.name: a.current_solution for a in solvers}
-            shared = consensus_check(answers)
-            trace.outcome = OUTCOME_MAJORITY_VOTE if shared is None else OUTCOME_UNANIMOUS_INITIAL
-            trace.final = shared or majority_vote(answers, ())
+            _finish_jobs(run, reviews.values())
+            trace.final, unanimous = _vote({a.name: a.current_solution for a in solvers}, ())
+            trace.outcome = OUTCOME_UNANIMOUS_INITIAL if unanimous else OUTCOME_MAJORITY_VOTE
     except GatewayError as exc:
         trace.complete = False
         trace.error = f"{type(exc).__name__}: {exc}"

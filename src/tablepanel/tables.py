@@ -1,7 +1,7 @@
 """Domain types for tables, contexts, queries, and answers.
 
 Also home to the canonical table flattening used in every prompt and the
-answer normalization used for consensus checks and scoring. All types are
+answer normalization used for votes and scoring. All types are
 immutable after construction and safe to share across threads.
 """
 
@@ -59,11 +59,13 @@ class TaskKind:
         return cls(AnswerMode.SQL_DENOTATION)
 
 
-def items_of(value: Iterable, what: str) -> Iterable:
-    """``value``, a field that holds a sequence. A string there is a
-    ValueError: it would split into one item per character."""
-    if isinstance(value, str):
-        raise ValueError(f"{what} must be a list, not the string {value!r}")
+def items_of(value: object, what: str) -> list | tuple:
+    """``value``, a field that holds a sequence. Anything but a list or tuple
+    there is a ValueError: a string would split into one item per character,
+    and an object would read as its keys."""
+    if not isinstance(value, (list, tuple)):
+        shape = {str: "string", dict: "object"}.get(type(value), type(value).__name__)
+        raise ValueError(f"{what} must be a list, not the {shape} {value!r}")
     return value
 
 

@@ -657,6 +657,18 @@ STRING_SHAPED = {
     "config-panel-str": ("config", {"panel": "Ada"}),
 }
 
+# A JSON object where a list belongs would load its keys as the items.
+OBJECT_SHAPED = {
+    "dataset-wikisql-header-obj": ("dataset", _wikisql({"Year": 0, "Value": 1}, [["2019", "1"]])),
+    "dataset-feverous-sentences-obj": ("dataset", _feverous(["Year"], [["2019"]],
+                                                            sentences={"It rose.": 1})),
+    "dataset-tatqa-paragraphs-obj": ("dataset", _tatqa([["a"], ["1"]], paragraphs={"text": 1})),
+    "config-stages-obj": ("config", {"preset": "full",
+                                     "stages": {"investigation": 1, "self_review": 0}}),
+    "config-panel-obj": ("config", {"panel": {"Ada": "Check the arithmetic"}}),
+    "backend-script-obj": ("backend", {"type": "scripted", "script": {"response": "hi"}}),
+}
+
 # Wrong shapes and values, per input file: (command, file contents). A
 # dataset's contents are its kind and its files, the first one the dataset.
 MALFORMED = {
@@ -743,6 +755,7 @@ MALFORMED = {
     "dataset-semtabfacts-row-too-long": ("dataset", _semtabfacts("<cell>1</cell><cell>2</cell>")),
     "dataset-semtabfacts-blank-statement": ("dataset", _semtabfacts("<cell>1</cell>", " ")),
     **STRING_SHAPED,
+    **OBJECT_SHAPED,
     "dataset-tatqa-duplicate-uid": ("dataset", _tatqa([["a"], ["1"]], uids=("q1", "q1"))),
     "dataset-wikisql-duplicate-id": ("dataset", _wikisql(["Year"], [["2019"]], ids=("w1", "w1"))),
     "score-dataset-tatqa-duplicate-uid": ("score-dataset",
@@ -793,6 +806,8 @@ def test_malformed_input_file_exits_1_without_traceback(tmp_path, case):
         assert err.startswith(f"error: bad {what} config: ") and "unknown key" in err
     if case in STRING_SHAPED:
         assert "must be a list, not the string" in err
+    if case in OBJECT_SHAPED:
+        assert "must be a list, not the object" in err
     if "duplicate" in case:
         assert err.startswith("error: cannot load dataset: duplicate task id ")
 

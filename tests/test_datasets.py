@@ -13,7 +13,7 @@ from tablepanel.datasets import (
     load,
 )
 from tablepanel.deliberation import DeliberationTrace
-from tablepanel.tables import AnswerMode, UnknownLabel
+from tablepanel.tables import AnswerMode
 
 
 class TestFixtures:
@@ -116,7 +116,9 @@ class TestLoaderErrors:
          "table 2: malformed table: "),
         ("<header><cell>A</cell></header><statement id='s2' label='refuted'> </statement>",
          "table 2: statement needs an id attribute and text"),
-    ], ids=["row-too-long", "blank-statement"])
+        ("<header><cell>A</cell></header><statement id='s2' label='maybe'>claim</statement>",
+         "table 2: statement s2: label 'maybe' not in ('entailed', 'refuted', 'unknown')"),
+    ], ids=["row-too-long", "blank-statement", "unknown-label"])
     def test_semtabfacts_error_names_its_table(self, tmp_path, second, message):
         doc = tmp_path / "s.xml"
         doc.write_text(
@@ -146,6 +148,18 @@ class TestLoaderErrors:
         assert self._error(DatasetKind.FEVEROUS, data).startswith(
             "f.retrieved.jsonl line 2: malformed retrieved record: ")
 
+    def test_feverous_unknown_label_names_its_line(self, tmp_path):
+        data = tmp_path / "f.jsonl"
+        records = [{"id": f"f{i}", "claim": "c", "label": label,
+                    "table": {"header": ["A"], "rows": []}, "sentences": [],
+                    "gold_evidence": [["e"]]} for i, label in enumerate(("SUPPORTS", "MAYBE"))]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        (tmp_path / "f.retrieved.jsonl").write_text(
+            '{"id": "f0", "retrieved": ["e"]}\n{"id": "f1", "retrieved": ["e"]}\n',
+            encoding="utf-8")
+        assert self._error(DatasetKind.FEVEROUS, data) == (
+            "line 2: malformed record: label 'MAYBE' not recognized")
+
     def test_wikisql_unknown_table_id(self, tmp_path):
         data = tmp_path / "w.jsonl"
         data.write_text('{"id": "x1", "question": "q", "table_id": "missing", "denotation": ["1"]}\n',
@@ -168,7 +182,7 @@ class TestLoaderErrors:
             "<statement id='s1' label='maybe'>claim</statement></table></corpus>",
             encoding="utf-8",
         )
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(ParseError):
             list(load(DatasetKind.SEMTABFACTS, doc))
 
     def test_semtabfacts_invalid_xml(self, tmp_path):

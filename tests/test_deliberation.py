@@ -25,8 +25,8 @@ from tablepanel.deliberation import (
     PipelineConfig,
     StageFailed,
     StageName,
+    _vote,
     ablation_presets,
-    consensus_check,
     majority_vote,
     peer_review,
     run_panel,
@@ -236,9 +236,14 @@ class TestSelfReview:
 
 
 class TestConsensus:
+    """``_vote``, which ends every panel: the majority answer, and whether
+    it is unanimous."""
+
+    ORDER = ["E", "N", "M", "A", "T"]
+
     def test_unanimous(self):
         solutions = {n: ans("B-1") for n in "ENMAT"}
-        assert consensus_check(solutions) == ans("B-1")
+        assert _vote(solutions, self.ORDER) == (ans("B-1"), True)
 
     def test_label_equivalent_casings_agree(self):
         solutions = {
@@ -246,16 +251,26 @@ class TestConsensus:
             "N": ans("refuted", FACT),
             "M": ans("REFUTED", FACT),
         }
-        shared = consensus_check(solutions)
-        assert shared is not None
-        assert shared.normalized == "refuted"
+        final, unanimous = _vote(solutions, self.ORDER)
+        assert unanimous
+        assert final.normalized == "refuted"
 
-    def test_split_returns_none(self):
-        assert consensus_check({"E": ans("5"), "N": ans("6")}) is None
+    def test_split_is_not_unanimous_and_returns_majority(self):
+        solutions = {"E": ans("5"), "N": ans("6"), "M": ans("6")}
+        assert _vote(solutions, self.ORDER) == (ans("6"), False)
+
+    def test_agreeing_answers_return_the_first_in_order(self):
+        # Equal once normalized, but each raw differs: the earliest in order wins.
+        solutions = {"A": ans("The 5"), "N": ans("5"), "E": ans(" 5 ")}
+        assert len({a.raw for a in solutions.values()}) == 3
+        final, unanimous = _vote(solutions, self.ORDER)
+        assert unanimous
+        assert final.raw == solutions["E"].raw
+        assert _vote(solutions, ())[0].raw == solutions["A"].raw
 
     def test_requires_nonempty(self):
         with pytest.raises(ValueError):
-            consensus_check({})
+            _vote({}, self.ORDER)
 
 
 class TestMajorityVote:

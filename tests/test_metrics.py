@@ -124,6 +124,10 @@ class TestMicroF1:
         with pytest.raises(UnknownLabel):
             micro_f1_3way(["entailed"], ["maybe"], LABELS)
 
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            micro_f1_3way(["entailed", "refuted"], ["entailed"], LABELS)
+
     def test_stray_prediction_counts_as_wrong(self):
         assert micro_f1_3way(["junk", "entailed"], ["entailed", "entailed"], LABELS) == \
             pytest.approx(0.5)
@@ -172,6 +176,10 @@ class TestFeverousScore:
     def test_missing_flag_raises(self):
         with pytest.raises(MissingEvidenceFlag):
             feverous_score([Prediction("1", fact("refuted"))], [fact("refuted")])
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            feverous_score([Prediction("1", fact("refuted"), evidence_correct=True)], [])
 
     def test_score_never_exceeds_label_acc(self):
         rng = random.Random(7)
@@ -231,6 +239,21 @@ class TestScoreRun:
         tasks = [make_task(task_id="a")]
         with pytest.raises(IdMismatch):
             score_run([Prediction("zzz", qa("B-1"))], tasks)
+
+    def test_length_mismatch_rejected(self):
+        tasks = [make_task(task_id="a"), make_task(task_id="b")]
+        with pytest.raises(IdMismatch, match="1 predictions vs 2 tasks"):
+            score_run([Prediction("a", qa("B-1"))], tasks)
+
+    def test_duplicate_prediction_ids_rejected(self):
+        tasks = [make_task(task_id="a"), make_task(task_id="b")]
+        with pytest.raises(IdMismatch, match="duplicate prediction ids"):
+            score_run([Prediction("a", qa("B-1")), Prediction("a", qa("C-2"))], tasks)
+
+    def test_task_without_gold_rejected(self):
+        tasks = [make_task(task_id="a"), replace(make_task(task_id="b"), gold=None)]
+        with pytest.raises(IdMismatch, match="without gold"):
+            score_run([Prediction(t.id, qa("B-1")) for t in tasks], tasks)
 
     def test_fact_without_evidence_uses_micro_f1(self):
         tasks = [make_task(kind=FACT, task_id=f"t{i}") for i in range(2)]
