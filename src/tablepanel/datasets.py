@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -37,6 +36,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from .tables import (
     Answer,
     ContextPassages,
+    FeverousEvidence,
     Query,
     Table,
     TaskInstance,
@@ -76,30 +76,6 @@ class ParseError(ValueError):
         super().__init__(f"{place} {line}: {reason}")
         self.line = line
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class FeverousEvidence:
-    """Retrieved evidence ids plus the alternative gold evidence sets."""
-
-    retrieved_ids: frozenset[str]
-    gold_sets: tuple[frozenset[str], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "retrieved_ids", frozenset(str(i) for i in self.retrieved_ids))
-        object.__setattr__(
-            self, "gold_sets",
-            tuple(frozenset(str(i) for i in s) for s in self.gold_sets),
-        )
-        if any(not i for i in self.retrieved_ids):
-            raise ValueError("retrieved evidence ids must be non-empty strings")
-        if any(not i for s in self.gold_sets for i in s):
-            raise ValueError("gold evidence ids must be non-empty strings")
-
-    @property
-    def correct(self) -> bool:
-        """True when the retrieved ids cover at least one gold evidence set."""
-        return any(self.retrieved_ids >= gold for gold in self.gold_sets)
 
 
 def load(kind: DatasetKind, path: str | Path, limit: Optional[int] = None) -> Iterator[TaskInstance]:

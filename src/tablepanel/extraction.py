@@ -122,6 +122,8 @@ def extract_presentation(raw: str, kind: TaskKind) -> tuple[Answer, str]:
 
 
 def extract_deliberation(raw: str, kind: TaskKind) -> tuple[Answer, bool]:
+    """The reply's ANSWER, and whether its POSITION claims a change. The claim
+    is not checked against the answer: the engine takes the ANSWER either way."""
     position = _choice(raw, _POSITION_RE, "POSITION", POSITIONS)
     return Answer.from_raw(_last_answer(raw), kind), position == "change"
 

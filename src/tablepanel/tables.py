@@ -10,10 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Optional
-
-if TYPE_CHECKING:
-    from .datasets import FeverousEvidence
+from typing import Iterable, Optional
 
 
 class UnknownLabel(ValueError):
@@ -151,6 +148,30 @@ class Answer:
 
 
 @dataclass(frozen=True)
+class FeverousEvidence:
+    """Retrieved evidence ids plus the alternative gold evidence sets."""
+
+    retrieved_ids: frozenset[str]
+    gold_sets: tuple[frozenset[str], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "retrieved_ids", frozenset(str(i) for i in self.retrieved_ids))
+        object.__setattr__(
+            self, "gold_sets",
+            tuple(frozenset(str(i) for i in s) for s in self.gold_sets),
+        )
+        if any(not i for i in self.retrieved_ids):
+            raise ValueError("retrieved evidence ids must be non-empty strings")
+        if any(not i for s in self.gold_sets for i in s):
+            raise ValueError("gold evidence ids must be non-empty strings")
+
+    @property
+    def correct(self) -> bool:
+        """True when the retrieved ids cover at least one gold evidence set."""
+        return any(self.retrieved_ids >= gold for gold in self.gold_sets)
+
+
+@dataclass(frozen=True)
 class TaskInstance:
     """One benchmark item (or ad-hoc query): table, context, query, kind.
 
@@ -164,7 +185,7 @@ class TaskInstance:
     query: Query
     kind: TaskKind
     gold: Optional[Answer] = None
-    evidence: Optional["FeverousEvidence"] = None
+    evidence: Optional[FeverousEvidence] = None
 
 
 # --- flattening grammar -----------------------------------------------------

@@ -4,16 +4,9 @@ import json
 
 import pytest
 
-from tablepanel.datasets import (
-    DatasetKind,
-    FeverousEvidence,
-    ParseError,
-    fixture,
-    fixture_path,
-    load,
-)
+from tablepanel.datasets import DatasetKind, ParseError, fixture, fixture_path, load
 from tablepanel.deliberation import DeliberationTrace
-from tablepanel.tables import AnswerMode
+from tablepanel.tables import AnswerMode, FeverousEvidence
 
 
 class TestFixtures:

@@ -440,6 +440,24 @@ class TestPeerReview:
         assert "(none yet; you present first)" in seen[0]
         assert "X" in seen[1]  # first presenter's answer visible to the second
 
+    def test_the_answer_line_decides_and_changed_is_the_position_claim(self, qa_task):
+        # Presented Y,Y,X,X,Z. The first presenter claims a change but repeats Y;
+        # the last claims to keep but answers X, which turns a 2-2 tie won by Y into X.
+        agents = solved_agents(qa_task, ["seed"] * 5)
+        backend = make_backend(
+            positional_present_entries(["Y", "Y", "X", "X", "Z"])
+            + positional_deliberate_entries(
+                [("change", "Y"), ("keep", "Y"), ("keep", "X"), ("keep", "X"), ("keep", "X")])
+        )
+        run = make_run(qa_task, backend, peer_config(t_max_panel=1))
+        result = peer_review(run, agents)
+        first, last = result.presentation_order[0], result.presentation_order[-1]
+        assert (result.rounds[0][first].normalized, result.rounds[0][last].normalized) == ("y", "x")
+        assert result.final.normalized == "x"
+        changed = {r.agent: r.parsed["changed"] for r in run.recorder.records
+                   if r.stage == Stage.DELIBERATE.value}
+        assert (changed[first], changed[last]) == (True, False)
+
 
 class TestRunPanel:
     def test_vanilla_is_one_direct_call(self, qa_task):

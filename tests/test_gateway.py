@@ -452,16 +452,23 @@ class TestOpenAIChatBackend:
         with pytest.raises(TransportError):
             backend.complete(req())
 
-    def test_malformed_2xx_body_is_api_error(self, stub_server, monkeypatch):
-        monkeypatch.setenv("PANEL_API_KEY", "sk-test")
-        _StubHandler.plan = [(200, {"unexpected": True})]
-        backend = live_backend(stub_server, retries=0)
-        with pytest.raises(ApiError):
-            backend.complete(req())
+    def test_malformed_2xx_body_is_api_error(self, serve, monkeypatch):
+        replies = [b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(blob), blob)
+                   for blob in (b'{"unexpected": true}',
+                                b'{"choices": [{"message": {"content": null}}]}')]
+        replies.append(b"HTTP/1.1 204 No Content\r\n\r\n")
+        url = serve(_RawReplyHandler)
+        for calls, reply in enumerate(replies, 1):
+            monkeypatch.setattr(_RawReplyHandler, "reply", reply)
+            with closing(keepalive_backend(url, retries=2)) as backend:
+                with pytest.raises(ApiError):
+                    backend.complete(req())
+            assert len(_StubHandler.seen) == calls, reply  # not retried
 
     def test_missing_api_key_raises(self, stub_server, monkeypatch):
         backend = live_backend(stub_server)
-        for key in (None, "abc\r\nX-Evil: 1", "abc\x7f"):  # a key that would break the header
+        # A key that would break the header, or that no Latin-1 header can carry.
+        for key in (None, "abc\r\nX-Evil: 1", "abc\x7f", "abc\u20ac"):
             if key is None:
                 monkeypatch.delenv("PANEL_API_KEY", raising=False)
             else:
@@ -602,8 +609,12 @@ class TestTransport:
         b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\nContent-Length: 0\r\n\r\n",
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n" + _OK_BLOB,
         b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n%s\r\n0\r\n\r\n" % _OK_BLOB,
+        b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n" + _OK_BLOB,
+        b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n" + _OK_BLOB,
     ], ids=["short-body", "bad-status-line", "malformed-header", "101-header-lines",
-            "header-line-too-long", "bad-chunk-size", "cut-in-headers"])
+            "header-line-too-long", "bad-chunk-size", "cut-in-headers", "chunk-longer-than-size",
+            "content-length-not-a-number", "content-length-negative"])
     def test_broken_reply_is_a_transport_error_and_pools_nothing(self, serve, monkeypatch, reply):
         monkeypatch.setattr(_RawReplyHandler, "reply", reply)
         monkeypatch.setattr(_RawReplyHandler, "keep_open", False)
@@ -732,6 +743,15 @@ class TestTransport:
                     "http://api.example test/v1"):
             with pytest.raises(ValueError):
                 keepalive_backend(url)
+
+    def test_unparsable_proxy_is_rejected_at_build(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("http_proxy", "http://:8080")
+        with pytest.raises(ValueError, match="cannot parse the http proxy"):
+            keepalive_backend("http://127.0.0.1:9/v1")
+        backend = openai_backend_file(tmp_path, "http://127.0.0.1:9/v1")
+        assert cli.main(["bench", "tatqa", "fixture", "--backend", backend,
+                         "--out", str(tmp_path / "run")]) == 1
+        assert "cannot parse the http proxy" in capsys.readouterr().err
 
 
 class _ForwardProxy(BaseHTTPRequestHandler):

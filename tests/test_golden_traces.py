@@ -102,10 +102,14 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_case(preset: str, kind: DatasetKind, t_max_panel: int, script: str):
+def case_inputs(preset: str, kind: DatasetKind, t_max_panel: int):
     config = dataclasses.replace(ablation_presets(seed=5)[preset],
                                  t_max_self=2, t_max_panel=t_max_panel)
-    task = next(fixture(kind, limit=1))
+    return config, next(fixture(kind, limit=1))
+
+
+def run_case(preset: str, kind: DatasetKind, t_max_panel: int, script: str):
+    config, task = case_inputs(preset, kind, t_max_panel)
     backend = RecordingBackend(build_script(config, task, dry=script == "dry"))
     trace = run_panel(task, config, backend)
     return trace, backend
@@ -161,6 +165,19 @@ def test_traces_and_requests_match_golden_digests(golden, preset):
     assert reasks > 0 and incomplete == 8
     assert (uncertain > 0) == (StageName.SELF_REVIEW in config.stages)
     assert (OUTCOME_MAJORITY_VOTE in outcomes) == (len(config.panel) > 1)
+
+
+def test_each_agents_recorded_replies_replay_the_trace():
+    """A trace replays when each agent gets its own recorded replies, in record
+    order: records list every investigation before any self-review, while a
+    counted script runs one agent's chain at a time."""
+    for case in CASES:
+        trace, _ = run_case(*case)
+        config, task = case_inputs(*case[:3])
+        replay = ScriptedBackend(ScriptEntry(r.raw, f"You are {r.agent}, one scientist")
+                                 for r in trace.records)
+        again = run_panel(task, config, replay)
+        assert again.to_json_line() == trace.to_json_line(), case_id(*case)
 
 
 if __name__ == "__main__":
