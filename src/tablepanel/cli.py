@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 from .datasets import DatasetKind, ParseError, fixture_path, load
 from .deliberation import (
     DeliberationTrace,
-    InvalidConfig,
     PipelineConfig,
     ablation_presets,
     run_panel,
@@ -39,7 +38,6 @@ from .metrics import METRIC_NAMES, Prediction, score_run
 from .personas import Panel, Persona, PromptLibrary
 from .tables import (
     ContextPassages,
-    Query,
     Table,
     TaskInstance,
     TaskKind,
@@ -131,14 +129,14 @@ def resolve_config(
     presets = ablation_presets(seed if seed is not None else 0)
     flags = {name: value for name, value in (("ordering_seed", seed), ("t_max_panel", t_max_panel))
              if value is not None}
-    if name_or_path in presets:
-        return replace(presets[name_or_path], **flags)
-    if not Path(name_or_path).exists():
-        raise CliError(
-            f"unknown config {name_or_path!r}; valid presets: {', '.join(presets)}", 1
-        )
-    data = _load_json_file(name_or_path, "pipeline config")
     try:
+        if name_or_path in presets:
+            return replace(presets[name_or_path], **flags)
+        if not Path(name_or_path).exists():
+            raise CliError(
+                f"unknown config {name_or_path!r}; valid presets: {', '.join(presets)}", 1
+            )
+        data = _load_json_file(name_or_path, "pipeline config")
         _check_keys(data, {"preset", *(f.name for f in fields(PipelineConfig))}, "")
         base = data.get("preset")
         if base is not None and base not in presets:
@@ -251,13 +249,11 @@ def _write_traces(path: Path, traces: Sequence[DeliberationTrace]) -> None:
 def cmd_ask(args) -> int:
     table, context = _read_table_file(args.table)
     config = resolve_config(args.config, args.seed, args.t_max)
-    task = TaskInstance(
-        id="adhoc",
-        table=table,
-        context=context,
-        query=Query(args.query),
-        kind=TaskKind.qa(),
-    )
+    try:
+        task = TaskInstance(id="adhoc", table=table, context=context, query=args.query,
+                            kind=TaskKind.qa())
+    except ValueError as exc:
+        raise CliError(str(exc), 1)
     templates = _templates(args)
     if args.trace and (Path(args.trace).is_dir() or not Path(args.trace).parent.is_dir()):
         raise CliError(f"cannot write {args.trace}: not a file in an existing directory", 1)
@@ -454,9 +450,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except InvalidConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except GatewayError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 2

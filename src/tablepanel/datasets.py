@@ -37,7 +37,6 @@ from .tables import (
     Answer,
     ContextPassages,
     FeverousEvidence,
-    Query,
     Table,
     TaskInstance,
     TaskKind,
@@ -141,7 +140,7 @@ def _load_tatqa(path: Path) -> Iterator[TaskInstance]:
                     id=str(q["uid"]),
                     table=table,
                     context=context,
-                    query=Query(str(q["question"])),
+                    query=str(q["question"]),
                     kind=kind,
                     gold=Answer.from_raw(_value_to_text(q["answer"]), kind),
                 )
@@ -189,7 +188,7 @@ def _load_semtabfacts(path: Path) -> Iterator[TaskInstance]:
                 id=sid,
                 table=table,
                 context=ContextPassages(),
-                query=Query(stmt.text.strip()),
+                query=stmt.text.strip(),
                 kind=kind,
                 gold=Answer.from_raw(label, kind),
             )
@@ -240,7 +239,7 @@ def _load_wikisql(path: Path) -> Iterator[TaskInstance]:
                 id=str(obj["id"]),
                 table=tables[table_id],
                 context=ContextPassages(),
-                query=Query(str(obj["question"])),
+                query=str(obj["question"]),
                 kind=kind,
                 gold=Answer.from_raw(_value_to_text(obj["denotation"]), kind),
             )
@@ -274,7 +273,7 @@ def _load_feverous(path: Path) -> Iterator[TaskInstance]:
                 id=item_id,
                 table=_table_from_record(obj["table"]),
                 context=ContextPassages(obj.get("sentences", ())),
-                query=Query(str(obj["claim"])),
+                query=str(obj["claim"]),
                 kind=kind,
                 gold=Answer.from_raw(label, kind),
                 evidence=FeverousEvidence(retrieved_ids=retrieved[item_id], gold_sets=gold),

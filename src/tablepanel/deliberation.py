@@ -43,7 +43,6 @@ from types import MappingProxyType, NoneType
 from typing import Callable, Mapping, Optional, Sequence
 
 from .extraction import (
-    AnalyticalNotes,
     Complexity,
     FormatError,
     Verdict,
@@ -84,10 +83,6 @@ class StageName(str, Enum):
     PEER_REVIEW = "peer_review"
 
 
-class InvalidConfig(ValueError):
-    pass
-
-
 class StageFailed(RuntimeError):
     """A stage exhausted its format retries for one agent."""
 
@@ -120,13 +115,13 @@ class PipelineConfig:
         object.__setattr__(self, "stages", frozenset(StageName(s) for s in self.stages))
         for name in ("t_max_self", "t_max_panel", "ordering_seed", "format_retry"):
             if type(getattr(self, name)) is not int:
-                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if type(self.name) is not str:
-            raise InvalidConfig(f"name must be a string, got {self.name!r}")
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if self.t_max_self < 1 or self.t_max_panel < 1:
-            raise InvalidConfig("t_max values must be >= 1")
+            raise ValueError("t_max values must be >= 1")
         if self.format_retry < 0:
-            raise InvalidConfig("format_retry must be >= 0")
+            raise ValueError("format_retry must be >= 0")
 
     def digest(self) -> str:
         payload = {
@@ -150,7 +145,7 @@ class AgentState:
     persona: Persona
     history: list[ChatMessage] = field(default_factory=list)
     complexity: Optional[Complexity] = None
-    notes: Optional[AnalyticalNotes] = None
+    notes: tuple[str, ...] = ()
     current_solution: Optional[Answer] = None
     verdict: Optional[Verdict] = None
     failed_stage: Optional[str] = None
@@ -343,7 +338,7 @@ class PanelRun:
             "persona": persona_blurb(agent.persona),
             "task_description": task_description_for(self.task.kind),
             "flattened_input": self.flattened,
-            "query": self.task.query.text,
+            "query": self.task.query,
             "complexity": agent.complexity.value if agent.complexity else "not assessed",
             "notes": _notes_binding(agent.notes),
             **extra,
@@ -399,10 +394,10 @@ def _finish_jobs(run: PanelRun, jobs: Sequence[Future]) -> None:
             raise error
 
 
-def _notes_binding(notes: Optional[AnalyticalNotes]) -> str:
-    if notes is None or not notes.points:
+def _notes_binding(notes: tuple[str, ...]) -> str:
+    if not notes:
         return "- (none)"
-    return "\n".join(f"- {p}" for p in notes.points)
+    return "\n".join(f"- {p}" for p in notes)
 
 
 def _parse(stage: Stage, raw: str, kind: TaskKind) -> tuple[dict, object]:
@@ -412,7 +407,7 @@ def _parse(stage: Stage, raw: str, kind: TaskKind) -> tuple[dict, object]:
     record is flagged ``unmapped_label``."""
     if stage is Stage.ASSESS:
         complexity, notes = extract_assessment(raw)
-        return {"complexity": complexity.value, "notes": list(notes.points)}, (complexity, notes)
+        return {"complexity": complexity.value, "notes": list(notes)}, (complexity, notes)
     if stage is Stage.VERIFY:
         verdict = extract_verdict(raw)
         return {"verdict": verdict.value}, verdict

@@ -12,7 +12,6 @@ are pure functions of the raw text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .tables import Answer, TaskKind
@@ -41,15 +40,6 @@ class Verdict(str, Enum):
 # The POSITION choices of a deliberation reply: keep the answer, or change it.
 POSITIONS = ("keep", "change")
 _COMPLEXITIES, _VERDICTS = tuple(Complexity), tuple(Verdict)
-
-
-@dataclass(frozen=True)
-class AnalyticalNotes:
-    points: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        points = tuple(p for p in (s.strip() for s in self.points) if p)
-        object.__setattr__(self, "points", points)
 
 
 # A value never holds "\r" or "\n".
@@ -85,7 +75,7 @@ def _choice(raw: str, pattern: re.Pattern, marker: str, choices: tuple[str, ...]
     return value
 
 
-def extract_assessment(raw: str) -> tuple[Complexity, AnalyticalNotes]:
+def extract_assessment(raw: str) -> tuple[Complexity, tuple[str, ...]]:
     complexity = Complexity(_choice(raw, _COMPLEXITY_RE, "COMPLEXITY", _COMPLEXITIES))
     notes_match = _NOTES_RE.search(raw)
     if not notes_match:
@@ -97,9 +87,9 @@ def extract_assessment(raw: str) -> tuple[Complexity, AnalyticalNotes]:
         bullet = _BULLET_RE.match(line)
         if not bullet:
             break
-        if bullet.group(1):
-            points.append(bullet.group(1))
-    return complexity, AnalyticalNotes(tuple(points))
+        if point := bullet.group(1).strip():
+            points.append(point)
+    return complexity, tuple(points)
 
 
 def extract_solution(raw: str, kind: TaskKind) -> Answer:

@@ -37,6 +37,7 @@ _ROLES = ("system", "user", "assistant")
 _USER_AGENT = f"tablepanel/{__version__}"
 _MAX_LINE = 65536  # bytes in a status, header or chunk-size line, as in http.client
 _MAX_HEADERS = 100  # lines in a reply's header block, its blank line included, as in http.client
+_MAX_WAIT_S = 86400  # one day; a far longer wait overflows a socket timeout or time.sleep
 _UNSAFE_IN_URL = re.compile(r"[\x00-\x20\x7f]")
 _UNSAFE_IN_KEY = re.compile(rb"[\x00-\x1f\x7f]")
 _TOKEN = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
@@ -124,12 +125,12 @@ class BackendConfig:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.temperature >= 0:
             raise ValueError("temperature must be >= 0")
-        if not self.request_timeout > 0:
-            raise ValueError("request_timeout must be > 0")
+        if not 0 < self.request_timeout <= _MAX_WAIT_S:
+            raise ValueError(f"request_timeout must be > 0 and <= {_MAX_WAIT_S}")
         if type(self.max_retries) is not int or not 0 <= self.max_retries <= 10:
             raise ValueError(f"max_retries must be an integer in [0, 10], got {self.max_retries!r}")
-        if not self.retry_backoff_base >= 0:
-            raise ValueError("retry_backoff_base must be >= 0")
+        if not 0 <= self.retry_backoff_base <= _MAX_WAIT_S:
+            raise ValueError(f"retry_backoff_base must be >= 0 and <= {_MAX_WAIT_S}")
 
 
 class ChatBackend(Protocol):

@@ -12,23 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .tables import Answer, AnswerMode, TaskInstance, TaskKind, UnknownLabel, normalize_answer
-
-
-class LengthMismatch(ValueError):
-    pass
-
-
-class IdMismatch(ValueError):
-    pass
-
-
-class MixedTaskKinds(ValueError):
-    pass
-
-
-class MissingEvidenceFlag(ValueError):
-    pass
+from .tables import Answer, AnswerMode, TaskInstance, TaskKind, normalize_answer
 
 
 @dataclass(frozen=True)
@@ -109,7 +93,7 @@ def _denotation_values(answer: Answer) -> tuple[str, ...]:
 
 def denotation_accuracy(preds: Sequence[Answer], golds: Sequence[Answer]) -> float:
     if len(preds) != len(golds):
-        raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} golds")
+        raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
     hits = sum(
         1 for p, g in zip(preds, golds)
         if _denotation_values(p) == _denotation_values(g)
@@ -127,16 +111,16 @@ def micro_f1_3way(
     For single-label classification every wrong prediction is one false
     positive and one false negative, so micro-F1 equals accuracy; it is
     returned as the exact hit share. Gold labels outside ``label_set`` raise
-    UnknownLabel; a stray predicted label counts as a wrong prediction.
+    ValueError; a stray predicted label counts as a wrong prediction.
     """
     if len(preds) != len(golds):
-        raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} golds")
+        raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
     labels = {l.strip().lower() for l in label_set}
     hits = 0
     for pred, gold in zip(preds, golds):
         gold = gold.strip().lower()
         if gold not in labels:
-            raise UnknownLabel(f"gold label {gold!r} not in {sorted(labels)}")
+            raise ValueError(f"gold label {gold!r} not in {sorted(labels)}")
         if pred.strip().lower() == gold:
             hits += 1
     return hits / len(preds) if preds else 0.0
@@ -146,12 +130,12 @@ def feverous_score(preds: Sequence[Prediction], golds: Sequence[Answer]) -> tupl
     """(label accuracy, strict score); the strict score additionally requires
     correct evidence."""
     if len(preds) != len(golds):
-        raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} golds")
+        raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
     label_hits = 0
     strict_hits = 0
     for pred, gold in zip(preds, golds):
         if pred.evidence_correct is None:
-            raise MissingEvidenceFlag(f"prediction {pred.task_id} lacks evidence_correct")
+            raise ValueError(f"prediction {pred.task_id} lacks evidence_correct")
         if pred.answer.normalized == gold.normalized:
             label_hits += 1
             if pred.evidence_correct:
@@ -163,25 +147,25 @@ def score_run(preds: Sequence[Prediction], tasks: Sequence[TaskInstance]) -> Met
     """Dispatch to the kind-appropriate metrics; predictions align with tasks
     by id and must cover exactly one task kind."""
     if not preds or not tasks:
-        raise IdMismatch("empty runs are rejected")
+        raise ValueError("empty runs are rejected")
     if len(preds) != len(tasks):
-        raise IdMismatch(f"{len(preds)} predictions vs {len(tasks)} tasks")
+        raise ValueError(f"{len(preds)} predictions vs {len(tasks)} tasks")
     by_id = {p.task_id: p for p in preds}
     if len(by_id) != len(preds):
-        raise IdMismatch("duplicate prediction ids")
+        raise ValueError("duplicate prediction ids")
     missing = [t.id for t in tasks if t.id not in by_id]
     if missing:
-        raise IdMismatch(f"no prediction for task ids {missing[:5]}")
+        raise ValueError(f"no prediction for task ids {missing[:5]}")
 
     modes = {t.kind.mode for t in tasks}
     if len(modes) != 1:
-        raise MixedTaskKinds(f"one report per kind; got {sorted(m.value for m in modes)}")
+        raise ValueError(f"one report per kind; got {sorted(m.value for m in modes)}")
     mode = modes.pop()
 
     ordered = [by_id[t.id] for t in tasks]
     golds = [t.gold for t in tasks]
     if any(g is None for g in golds):
-        raise IdMismatch("cannot score tasks without gold answers")
+        raise ValueError("cannot score tasks without gold answers")
     n = len(tasks)
 
     if mode is AnswerMode.QA_FREEFORM:

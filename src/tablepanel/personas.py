@@ -25,15 +25,6 @@ from .tables import AnswerMode, TaskKind
 PANEL_SIZE_MAX = 8
 
 
-class PoolTooSmall(ValueError):
-    """Random panel selection needs a pool of at least two personas."""
-
-
-class TemplateError(ValueError):
-    """A template file that is not UTF-8 text, or a body whose placeholders
-    are not its stage's."""
-
-
 @dataclass(frozen=True)
 class Persona:
     name: str
@@ -196,12 +187,12 @@ class PromptTemplate:
         found = set(_PLACEHOLDER_RE.findall(self.body))
         missing = required - found
         if missing:
-            raise TemplateError(
+            raise ValueError(
                 f"{self.stage.value} template is missing placeholders: {sorted(missing)}"
             )
         unknown = found - required - _SYSTEM_EXTRAS
         if unknown:
-            raise TemplateError(
+            raise ValueError(
                 f"{self.stage.value} template has unknown placeholders: {sorted(unknown)}"
             )
 
@@ -213,7 +204,7 @@ class PromptLibrary:
     def __init__(self, templates: Mapping[Stage, PromptTemplate]):
         missing = set(Stage) - set(templates)
         if missing:
-            raise TemplateError(f"missing templates for stages: {sorted(s.value for s in missing)}")
+            raise ValueError(f"missing templates for stages: {sorted(s.value for s in missing)}")
         self._templates = dict(templates)
 
     def __getitem__(self, stage: Stage) -> PromptTemplate:
@@ -234,7 +225,7 @@ class PromptLibrary:
             try:
                 body = file.read_text(encoding="utf-8-sig") if file.exists() else _DEFAULT_BODIES[stage]
             except UnicodeDecodeError as exc:
-                raise TemplateError(f"{file.name} is not UTF-8 text: {exc.reason}") from exc
+                raise ValueError(f"{file.name} is not UTF-8 text: {exc.reason}") from exc
             templates[stage] = PromptTemplate(stage, body)
         return cls(templates)
 
@@ -303,7 +294,7 @@ def random_panel(seed: int, pool: Panel) -> Panel:
     """A panel of 2-5 members sampled from ``pool`` without replacement,
     fully determined by ``seed``."""
     if len(pool) < 2:
-        raise PoolTooSmall(f"pool has {len(pool)} member(s); need at least 2")
+        raise ValueError(f"pool has {len(pool)} member(s); need at least 2")
     rng = random.Random(seed)
     k = rng.randint(2, min(5, len(pool)))
     members = rng.sample(list(pool.members), k)

@@ -1,4 +1,4 @@
-"""Domain types for tables, contexts, queries, and answers.
+"""Domain types for tables, contexts, tasks, and answers.
 
 Also home to the canonical table flattening used in every prompt and the
 answer normalization used for votes and scoring. All types are
@@ -11,10 +11,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
-
-
-class UnknownLabel(ValueError):
-    """A label (gold or predicted) outside the task's admissible set."""
 
 
 class AnswerMode(str, Enum):
@@ -125,17 +121,6 @@ class ContextPassages:
 
 
 @dataclass(frozen=True)
-class Query:
-    """A natural-language question or claim; non-empty after trimming."""
-
-    text: str
-
-    def __post_init__(self) -> None:
-        if not self.text.strip():
-            raise ValueError("query text is empty")
-
-
-@dataclass(frozen=True)
 class Answer:
     """A model answer: the raw extracted text plus its canonical form."""
 
@@ -175,6 +160,7 @@ class FeverousEvidence:
 class TaskInstance:
     """One benchmark item (or ad-hoc query): table, context, query, kind.
 
+    ``query`` is the question or claim text, non-empty after trimming.
     ``gold`` is present for benchmark items and absent for ad-hoc queries.
     ``evidence`` is set only for items carrying retrieved/gold evidence ids.
     """
@@ -182,10 +168,14 @@ class TaskInstance:
     id: str
     table: Table
     context: ContextPassages
-    query: Query
+    query: str
     kind: TaskKind
     gold: Optional[Answer] = None
     evidence: Optional[FeverousEvidence] = None
+
+    def __post_init__(self) -> None:
+        if not self.query.strip():
+            raise ValueError("query text is empty")
 
 
 # --- flattening grammar -----------------------------------------------------
@@ -193,8 +183,10 @@ class TaskInstance:
 # Optional line   Caption: <caption>
 # Header line     h1 | h2 | ... | hn
 # Row lines       c1 | c2 | ... | cn
-# Cells escape "|" as "\|", which keeps the rendering injective.
+# Cells escape "|" as "\|".
 # If passages exist: one blank line, then "[P1] ...", "[P2] ...".
+# Not injective (see parse_flattened): an empty single-column header or row,
+# and a caption-less table whose first header starts with "Caption: ".
 
 _CELL_SEP = " | "
 _PASSAGE_RE = re.compile(r"^\[P(\d+)\] (.*)$", re.S)
@@ -230,9 +222,11 @@ def flatten_table(table: Table, context: ContextPassages) -> str:
 def parse_flattened(text: str) -> tuple[Table, ContextPassages]:
     """Inverse of :func:`flatten_table` for input files in the same grammar.
 
-    Limitation of the grammar itself: a single-column table whose header or
-    a row is the empty string renders as an empty line, which this parser
-    cannot tell apart from the passage separator.
+    Two limitations of the grammar itself: a single-column table whose header
+    or a row is the empty string renders as an empty line, read as the passage
+    separator; and a caption-less table whose first header starts with
+    "Caption: " renders as a captioned one, read back with its header line as
+    the caption and its first row as the header.
     """
     lines = text.split("\n")
     caption: Optional[str] = None

@@ -10,7 +10,7 @@ from tablepanel.deliberation import PANEL_THREAD_PREFIX, PanelRun, PipelineConfi
 from tablepanel.gateway import ScriptedBackend, ScriptEntry
 from tablepanel.personas import OUTPUT_CONTRACTS, Panel, PromptLibrary, Stage, default_panel
 from tablepanel.tables import (
-    Answer, ContextPassages, Query, Table, TaskInstance, TaskKind, flatten_table,
+    Answer, ContextPassages, Table, TaskInstance, TaskKind, flatten_table,
 )
 
 
@@ -50,7 +50,7 @@ def make_task(kind: TaskKind | None = None, task_id: str = "task-1",
         id=task_id,
         table=make_table(),
         context=ContextPassages(("Scores are out of 100.",)),
-        query=Query(query),
+        query=query,
         kind=kind,
         gold=Answer.from_raw(gold_text, kind),
     )

@@ -29,7 +29,6 @@ from tablepanel.deliberation import (
     self_review,
 )
 from tablepanel.extraction import (
-    AnalyticalNotes,
     Complexity,
     Verdict,
     extract_assessment,
@@ -295,7 +294,7 @@ def test_criterion_8_extraction_round_trip():
             if points:
                 raw += "\n" + "\n".join(f"- {p}" for p in points)
             got_c, got_n = extract_assessment(raw)
-            assert (got_c, got_n) == (complexity, AnalyticalNotes(points))
+            assert (got_c, got_n) == (complexity, points)
         elif stage == "solve":
             text = answer_text()
             assert extract_solution(prefix + f"ANSWER: {text}", QA).raw == text

@@ -102,6 +102,13 @@ class TestAsk:
         err = capsys.readouterr().err
         assert "vanilla" in err and "full" in err
 
+    def test_blank_query_exits_1_before_any_backend_call(self, tmp_path):
+        # Any backend call would be a backend error (exit 2).
+        backend = script_file(tmp_path / "b.json", [])
+        err = _assert_exits_1_without_traceback(["ask", "--table", table_csv(tmp_path / "t.csv"),
+                                                 "--query", "   ", "--backend", backend])
+        assert err == "error: query text is empty\n"
+
     def test_trace_flag_writes_parseable_jsonl(self, tmp_path, capsys):
         backend = script_file(tmp_path / "b.json", unanimity_items("120"))
         trace_path = tmp_path / "out.jsonl"
@@ -276,7 +283,7 @@ class TestBench:
     @pytest.mark.parametrize("command, calls_per_task", [("bench", 20), ("ablate", 1)])
     def test_interrupt_under_jobs_starts_no_queued_task(self, tmp_path, monkeypatch, command,
                                                         calls_per_task, jobs):
-        queries = [t.query.text for t in fixture(DatasetKind.TATQA)]
+        queries = [t.query for t in fixture(DatasetKind.TATQA)]
         script = build_backend(script_file(tmp_path / "b.json", unanimity_items("42")))
         calls = []  # the fixture index of each call's task
         lock = threading.Lock()
@@ -740,6 +747,10 @@ MALFORMED = {
     **{f"backend-{name}-{value}": ("backend", {**OPENAI, name: value})
        for name in ("temperature", "request_timeout", "retry_backoff_base")
        for value in (math.inf, math.nan)},
+    # Waits longer than a day: a socket cannot time out after 1e12 s, and
+    # time.sleep cannot back off for 1e10 s.
+    "backend-request-timeout-1e12": ("backend", {**OPENAI, "request_timeout": 1e12}),
+    "backend-retry-backoff-base-1e10": ("backend", {**OPENAI, "retry_backoff_base": 1e10}),
     **{f"limit-{command}-{value}": ("limit", (command, value))
        for command in ("bench", "ablate", "score") for value in ("0", "-1")},
     "dataset-tatqa-row-too-long": ("dataset", _tatqa([["a", "b"], ["1", "2", "3"]])),
@@ -850,6 +861,17 @@ def test_unknown_config_key_exits_1_before_any_backend_call(tmp_path):
     err = _assert_exits_1_without_traceback(["bench", "tatqa", "fixture", "--config", str(config),
                                              "--backend", backend, "--out", str(tmp_path / "out")])
     assert err == "error: bad pipeline config: unknown key 't_max'\n"
+
+
+@pytest.mark.parametrize("command", ["ask", "bench", "ablate"])
+def test_t_max_0_exits_1_before_any_backend_call(tmp_path, command):
+    backend = script_file(tmp_path / "empty.json", [])  # a call would exit 2
+    if command == "ask":
+        argv = ["ask", "--table", table_csv(tmp_path / "t.csv"), "--query", "q?"]
+    else:
+        argv = [command, "tatqa", "fixture", "--limit", "1", "--out", str(tmp_path / "out")]
+    err = _assert_exits_1_without_traceback([*argv, "--backend", backend, "--t-max", "0"])
+    assert err == "error: bad pipeline config: t_max values must be >= 1\n"
 
 
 def test_repeated_trace_task_id_exits_1(tmp_path):

@@ -73,7 +73,7 @@ class TestInvestigate:
         run = make_run(qa_task, backend, stages=INVESTIGATING)
         a = solve(run, agent())
         assert a.complexity is Complexity.INTERMEDIATE
-        assert a.notes.points == ("unit standardization",)
+        assert a.notes == ("unit standardization",)
         assert a.current_solution.raw == "120"
         assert run.recorder.calls == 2
 

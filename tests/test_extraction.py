@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablepanel.extraction import (
-    AnalyticalNotes,
     Complexity,
     FormatError,
     Verdict,
@@ -29,12 +28,12 @@ class TestAssessment:
         raw = "COMPLEXITY: intermediate\nNOTES:\n- unit standardization"
         complexity, notes = extract_assessment(raw)
         assert complexity is Complexity.INTERMEDIATE
-        assert notes.points == ("unit standardization",)
+        assert notes == ("unit standardization",)
 
     def test_empty_notes_allowed_when_marker_present(self):
         complexity, notes = extract_assessment("COMPLEXITY: basic\nNOTES:")
         assert complexity is Complexity.BASIC
-        assert notes.points == ()
+        assert notes == ()
 
     def test_missing_complexity_marker(self):
         with pytest.raises(FormatError) as err:
@@ -57,13 +56,13 @@ class TestAssessment:
     def test_bullets_stop_at_first_non_bullet_line(self):
         raw = "COMPLEXITY: basic\nNOTES:\n- one\n- two\ndone\n- three"
         _, notes = extract_assessment(raw)
-        assert notes.points == ("one", "two")
+        assert notes == ("one", "two")
 
     def test_prose_before_markers_tolerated(self):
         raw = "Let me assess this.\nCOMPLEXITY: basic\nNOTES:\n- data lookup"
         complexity, notes = extract_assessment(raw)
         assert complexity is Complexity.BASIC
-        assert notes.points == ("data lookup",)
+        assert notes == ("data lookup",)
 
 
 class TestSolution:
@@ -176,7 +175,7 @@ class TestRoundTrip:
                     raw += "\n" + "\n".join(f"- {p}" for p in points)
                 got_complexity, got_notes = extract_assessment(raw)
                 assert got_complexity is complexity
-                assert got_notes == AnalyticalNotes(points)
+                assert got_notes == points
             elif kind_of == "solve":
                 text = _answer_text(rng)
                 answer = extract_solution(prefix + f"ANSWER: {text}", QA)
@@ -203,7 +202,7 @@ class TestCRLF:
     def test_assessment(self):
         complexity, notes = extract_assessment("COMPLEXITY: basic\r\nNOTES:\r\n- units\r\n")
         assert complexity is Complexity.BASIC
-        assert notes.points == ("units",)
+        assert notes == ("units",)
 
     def test_solution(self):
         assert extract_solution("reasoning first\r\nANSWER: 42\r\n", QA).raw == "42"

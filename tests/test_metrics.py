@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablepanel.metrics import (
-    IdMismatch,
-    LengthMismatch,
     MetricReport,
-    MissingEvidenceFlag,
-    MixedTaskKinds,
     Prediction,
     denotation_accuracy,
     exact_match,
@@ -21,7 +17,7 @@ from tablepanel.metrics import (
     score_run,
     token_f1,
 )
-from tablepanel.tables import Answer, TaskKind, UnknownLabel
+from tablepanel.tables import Answer, TaskKind
 
 from conftest import make_task
 
@@ -97,7 +93,7 @@ class TestDenotationAccuracy:
         assert denotation_accuracy(preds, golds) == pytest.approx(0.7)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="1 predictions vs 0 golds"):
             denotation_accuracy([sql("1")], [])
 
 
@@ -121,11 +117,11 @@ class TestMicroF1:
         assert micro_f1_3way(["unknown"] * 3, ["entailed"] * 3, LABELS) == 0.0
 
     def test_gold_outside_label_set_raises(self):
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(ValueError, match="gold label 'maybe' not in"):
             micro_f1_3way(["entailed"], ["maybe"], LABELS)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="2 predictions vs 1 golds"):
             micro_f1_3way(["entailed", "refuted"], ["entailed"], LABELS)
 
     def test_stray_prediction_counts_as_wrong(self):
@@ -174,11 +170,11 @@ class TestFeverousScore:
         assert feverous_score(preds, golds) == (1.0, 1.0)
 
     def test_missing_flag_raises(self):
-        with pytest.raises(MissingEvidenceFlag):
+        with pytest.raises(ValueError, match="prediction 1 lacks evidence_correct"):
             feverous_score([Prediction("1", fact("refuted"))], [fact("refuted")])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="1 predictions vs 0 golds"):
             feverous_score([Prediction("1", fact("refuted"), evidence_correct=True)], [])
 
     def test_score_never_exceeds_label_acc(self):
@@ -226,33 +222,33 @@ class TestScoreRun:
         assert len(f1s) == 1, sorted(f1s)
 
     def test_empty_run_rejected(self):
-        with pytest.raises(IdMismatch):
+        with pytest.raises(ValueError, match="empty runs are rejected"):
             score_run([], [])
 
     def test_mixed_kinds_rejected(self):
         tasks = [make_task(task_id="a"), make_task(kind=FACT, task_id="b")]
         preds = [Prediction(t.id, t.gold) for t in tasks]
-        with pytest.raises(MixedTaskKinds):
+        with pytest.raises(ValueError, match="one report per kind"):
             score_run(preds, tasks)
 
     def test_unknown_prediction_id_rejected(self):
         tasks = [make_task(task_id="a")]
-        with pytest.raises(IdMismatch):
+        with pytest.raises(ValueError, match="no prediction for task ids"):
             score_run([Prediction("zzz", qa("B-1"))], tasks)
 
     def test_length_mismatch_rejected(self):
         tasks = [make_task(task_id="a"), make_task(task_id="b")]
-        with pytest.raises(IdMismatch, match="1 predictions vs 2 tasks"):
+        with pytest.raises(ValueError, match="1 predictions vs 2 tasks"):
             score_run([Prediction("a", qa("B-1"))], tasks)
 
     def test_duplicate_prediction_ids_rejected(self):
         tasks = [make_task(task_id="a"), make_task(task_id="b")]
-        with pytest.raises(IdMismatch, match="duplicate prediction ids"):
+        with pytest.raises(ValueError, match="duplicate prediction ids"):
             score_run([Prediction("a", qa("B-1")), Prediction("a", qa("C-2"))], tasks)
 
     def test_task_without_gold_rejected(self):
         tasks = [make_task(task_id="a"), replace(make_task(task_id="b"), gold=None)]
-        with pytest.raises(IdMismatch, match="without gold"):
+        with pytest.raises(ValueError, match="without gold"):
             score_run([Prediction(t.id, qa("B-1")) for t in tasks], tasks)
 
     def test_fact_without_evidence_uses_micro_f1(self):
@@ -266,7 +262,7 @@ class TestScoreRun:
         tasks = [make_task(kind=FACT, task_id=f"t{i}") for i in range(3)]
         preds = [Prediction(t.id, t.gold, evidence_correct=True if i else None)
                  for i, t in enumerate(tasks)]
-        with pytest.raises(MissingEvidenceFlag):
+        with pytest.raises(ValueError, match="prediction t0 lacks evidence_correct"):
             score_run(preds, tasks)
 
     def test_report_serialization_drops_absent_fields(self):

@@ -8,12 +8,10 @@ from tablepanel.personas import (
     OUTPUT_CONTRACTS,
     Panel,
     Persona,
-    PoolTooSmall,
     PromptLibrary,
     PromptTemplate,
     Stage,
     STAGE_PLACEHOLDERS,
-    TemplateError,
     alternative_panel,
     default_panel,
     persona_blurb,
@@ -79,7 +77,7 @@ class TestRandomPanel:
         assert len(set(names)) == len(names)
 
     def test_pool_too_small(self):
-        with pytest.raises(PoolTooSmall):
+        with pytest.raises(ValueError, match="need at least 2"):
             random_panel(0, Panel((Persona("Solo", "focus"),)))
 
     def test_members_drawn_from_pool(self):
@@ -154,11 +152,11 @@ class TestRenderPrompt:
 
 class TestTemplates:
     def test_template_missing_required_placeholder_rejected(self):
-        with pytest.raises(TemplateError):
+        with pytest.raises(ValueError, match="assess template is missing placeholders"):
             PromptTemplate(Stage.ASSESS, "no placeholders at all")
 
     def test_template_with_unknown_placeholder_rejected(self):
-        with pytest.raises(TemplateError):
+        with pytest.raises(ValueError, match="assess template has unknown placeholders"):
             PromptTemplate(Stage.ASSESS, "{flattened_input} {query} {bogus}")
 
     def test_override_directory(self, tmp_path):
@@ -176,7 +174,7 @@ class TestTemplates:
 
     def test_override_with_bad_placeholders_rejected(self, tmp_path):
         (tmp_path / "verify.txt").write_text("{nope}", encoding="utf-8")
-        with pytest.raises(TemplateError):
+        with pytest.raises(ValueError, match="verify template is missing placeholders"):
             PromptLibrary.from_dir(tmp_path)
 
 

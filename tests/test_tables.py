@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from tablepanel.tables import (
     Answer,
     ContextPassages,
-    Query,
     Table,
     TaskKind,
     flatten_table,
     normalize_answer,
     parse_flattened,
 )
+
+from conftest import make_task
 
 QA = TaskKind.qa()
 SQL = TaskKind.sql_denotation()
@@ -45,8 +46,8 @@ class TestTable:
             build()
 
     def test_query_must_be_nonempty(self):
-        with pytest.raises(ValueError):
-            Query("   ")
+        with pytest.raises(ValueError, match="query text is empty"):
+            make_task(query="   ")
 
 
 class TestFlatten:
@@ -122,14 +123,24 @@ class TestFlattenRoundTrip:
                       caption=caption)
         ctx = ContextPassages(tuple(passages))
         flat = flatten_table(table, ctx)
-        # Documented grammar limitation: a single-column table can render an
+        # Documented grammar limitations: a single-column table can render an
         # empty line (empty header/cell), indistinguishable from the passage
-        # separator. Skip those renderings.
+        # separator, and a caption-less table whose first header starts with
+        # "Caption: " renders as a captioned one. Skip those renderings.
         table_lines = (1 if caption is not None else 0) + 1 + len(table.rows)
         assume("" not in flat.split("\n")[:table_lines])
+        assume(caption is not None or not table.headers[0].startswith("Caption: "))
         parsed_table, parsed_ctx = parse_flattened(flat)
         assert parsed_table == table
         assert parsed_ctx == ctx
+
+    def test_caption_prefixed_first_header_reads_as_a_caption(self):
+        # The documented limitation, read back as documented.
+        table = Table(headers=("Caption: Year", "Revenue"), rows=(("2019", "100"),))
+        flat = flatten_table(table, ContextPassages())
+        assert flat == "Caption: Year | Revenue\n2019 | 100"
+        parsed, _ = parse_flattened(flat)
+        assert parsed == Table(headers=("2019", "100"), rows=(), caption="Year | Revenue")
 
 
 class TestNormalize:
